@@ -16,8 +16,9 @@ starved). All previously drawn units are pooled: they count toward every
 later floor, target, and estimate, which is what makes the grand total
 come out to exactly T.
 
-A single replication is strictly sequential; distinct replications own
-their ledgers and random streams and may run concurrently.
+A single replication is strictly sequential. Distinct replications own
+their ledgers and random streams, so each depends only on its own stream;
+the experiment drivers run them one after another in index order.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ class SimulatedSource(BernoulliSource):
     def draw_many(self, i: int, j: int, count: int) -> int:
         if count <= 0:
             return 0
-        return int((self.rng.random(count) < self.assignment.values[j][i]).sum())
+        return int(np.count_nonzero(self.rng.random(count) < self.assignment.values[j][i]))
 
 
 class ReplaySource(BernoulliSource):
@@ -198,17 +199,17 @@ def mle_cv(draws: int, successes: int) -> tuple[float, float, float]:
     return r_hat, cv, math.sqrt(r_hat / (1.0 - r_hat))
 
 
-def _block_pilot(budget: int, slots: int, existing: list[int]) -> int:
+def _block_pilot(budget: int, existing: list[int]) -> int:
     """Largest workable pilot: sqrt rule capped by the budget per slot and
     by what the pooled draws already in the ledger leave room for."""
-    pilot = max(1, min(pilot_size(budget), budget // slots))
-    while pilot > 1 and sum(max(pilot, e) for e in existing) > budget:
+    pilot = max(1, min(pilot_size(budget), budget // len(existing)))
+    while sum([e if e > pilot else pilot for e in existing]) > budget:
+        if pilot == 1:
+            raise BudgetError(
+                f"budget {budget} cannot top every slot up to one draw "
+                f"given existing draws {existing}"
+            )
         pilot -= 1
-    if sum(max(pilot, e) for e in existing) > budget:
-        raise BudgetError(
-            f"budget {budget} cannot top every slot up to one draw "
-            f"given existing draws {existing}"
-        )
     return pilot
 
 
@@ -232,29 +233,28 @@ def two_stage_subsystem(
     updated in place.
     """
     ledger.topology.check_subsystem(j)
-    slots = ledger.topology.block_sizes[j]
-    existing = list(ledger.draws[j])
-    spent = sum(existing)
+    # The ledger's own per-block lists: ``record`` updates them in place.
+    draws = ledger.draws[j]
+    successes = ledger.successes[j]
+    spent = sum(draws)
     if spent > budget:
         raise BudgetError(
             f"subsystem {j + 1} already holds {spent} draws, over its budget {budget}"
         )
-    pilot = _block_pilot(budget, slots, existing)
+    pilot = _block_pilot(budget, draws)
 
     # Stage 1: top every slot up to the pilot size.
-    for i in range(slots):
-        need = pilot - ledger.draws[j][i]
+    for i, have in enumerate(draws):
+        need = pilot - have
         if need > 0:
             ledger.record(i, j, need, source.draw_many(i, j, need))
 
-    # Stage 2: allocate the rest by estimated inverse cv, then top up.
-    cv_inverses = [
-        mle_cv(ledger.draws[j][i], ledger.successes[j][i])[2] for i in range(slots)
-    ]
-    floors = [ledger.draws[j][i] for i in range(slots)]
-    plan = plan_block_targets(cv_inverses, budget, floors, pilot)
-    for i in range(slots):
-        need = plan.targets[i] - ledger.draws[j][i]
+    # Stage 2: allocate the rest by estimated inverse cv, then top up. The
+    # pooled draws are the floors; integerize copies them before any top-up.
+    cv_inverses = [mle_cv(d, s)[2] for d, s in zip(draws, successes)]
+    plan = plan_block_targets(cv_inverses, budget, draws, pilot)
+    for i, target in enumerate(plan.targets):
+        need = target - draws[i]
         if need > 0:
             ledger.record(i, j, need, source.draw_many(i, j, need))
     return ledger.block_draws(j)
@@ -288,11 +288,11 @@ def hybrid_two_stage(
 
     # Across-block predictor from the pooled pilot counts (clamped means).
     weights = []
-    for j in range(n):
+    for draws, successes in zip(ledger.draws, ledger.successes):
         inv_sum = 0.0
         failure = 1.0
-        for i in range(topology.block_sizes[j]):
-            r_hat, _, cv_inv = mle_cv(ledger.draws[j][i], ledger.successes[j][i])
+        for d, s in zip(draws, successes):
+            r_hat, _, cv_inv = mle_cv(d, s)
             inv_sum += cv_inv
             failure *= 1.0 - r_hat
         r_block = 1.0 - failure
@@ -319,14 +319,15 @@ def estimate_reliability(ledger: SampleLedger, topology: SystemTopology) -> floa
     is exactly the product of block estimates built from sample means.
     """
     r = 1.0
-    for j in range(topology.subsystem_count):
+    for j, size in enumerate(topology.block_sizes):
+        draws = ledger.draws[j]
+        successes = ledger.successes[j]
         failure = 1.0
-        for i in range(topology.block_sizes[j]):
-            draws = ledger.draws[j][i]
-            if draws < 1:
+        for i in range(size):
+            if draws[i] < 1:
                 raise ValueError(
                     f"component {i + 1} of subsystem {j + 1} has no draws"
                 )
-            failure *= 1.0 - ledger.successes[j][i] / draws
+            failure *= 1.0 - successes[i] / draws[i]
         r *= 1.0 - failure
     return r

@@ -284,7 +284,9 @@ def _simulate_fixed_split(assignment, total, t1, reps, seed, threads):
 @click.option("--reps", type=int, required=True, help="Replications (at least 2).")
 @click.option("--seed", type=int, default=None, help="Master seed; falls back to RELIALLOC_SEED, then 0.")
 @click.option("--out", "out_path", type=str, required=True, help="Output CSV path.")
-@click.option("--threads", type=int, default=None, help="Worker threads (default: machine parallelism).")
+@click.option("--threads", type=int, default=None,
+              help="Accepted for compatibility; does nothing (replications run in "
+                   "index order on one thread).")
 @_guarded
 def simulate(system, total, scheme, t1, reps, seed, out_path, threads):
     """Replicate one sampling scheme; write per-replication records and a mean row."""
@@ -371,7 +373,9 @@ def simulate(system, total, scheme, t1, reps, seed, out_path, threads):
 @click.option("--seed", type=int, default=None, help="Master seed; falls back to RELIALLOC_SEED, then 0.")
 @click.option("--sweep", type=str, default=None, help="Budget sweep START:STOP:STEP (convergence).")
 @click.option("--out", "out_path", type=str, required=True, help="Output CSV path.")
-@click.option("--threads", type=int, default=None, help="Worker threads (default: machine parallelism).")
+@click.option("--threads", type=int, default=None,
+              help="Accepted for compatibility; does nothing (replications run in "
+                   "index order on one thread).")
 @_guarded
 def experiment(mode, system_ref, total, reps, seed, sweep, out_path, threads):
     """Run one of the canned experiments and write its data file."""

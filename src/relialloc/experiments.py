@@ -11,15 +11,17 @@ Three experiment drivers, all pure functions of (config, seed):
 
 Each replication derives its own random stream from
 (master seed, point key, replication index), so sweep points are
-independent, replications can run on any number of workers, and reruns
-reproduce results exactly. Aggregation always walks replications in index
-order to keep emitted numbers byte-stable.
+independent and reruns reproduce results exactly. Replications run one
+after another on the calling thread, in index order, and aggregation walks
+them in that order to keep emitted numbers byte-stable. The replication
+work is pure Python bound by the interpreter lock, so worker threads would
+only slow it down; ``ExperimentConfig.threads`` is kept for compatibility
+and changes nothing.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +102,6 @@ class HybridExpectation:
     var_hat: float
     se: float
     mean_r_hat: float
-    mean_counts: tuple[tuple[float, ...], ...]
 
 
 def replication_rng(master_seed: int, point_key: int, replication: int) -> np.random.Generator:
@@ -149,44 +150,24 @@ def simulate_fixed_allocation(
 
 
 def _map_replications(count: int, threads: int, fn) -> list:
-    """Apply ``fn(replication_index)`` for all indices, results in index order."""
-    results = [None] * count
-    if threads <= 1:
-        for k in range(count):
-            results[k] = fn(k)
-        return results
-
-    chunk = max(1, math.ceil(count / (threads * 8)))
-    spans = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
-
-    def run_span(span):
-        lo, hi = span
-        for k in range(lo, hi):
-            results[k] = fn(k)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run_span, spans))
-    return results
+    """Apply ``fn(replication_index)`` for all indices in index order, on the
+    calling thread. ``threads`` is accepted for compatibility and ignored."""
+    return [fn(k) for k in range(count)]
 
 
 def _hybrid_replications(config: ExperimentConfig, total: int, point_key: int):
-    """All hybrid replications at one budget: (r_hats, block_totals, counts)."""
+    """All hybrid replications at one budget: (r_hats, block_totals)."""
 
     def one(rep):
         rng = replication_rng(config.master_seed, point_key, rep)
         source = SimulatedSource(config.assignment, rng)
         result = hybrid_two_stage(source, config.assignment.topology, total)
-        return (
-            result.reliability_estimate,
-            result.allocation.block_totals,
-            result.allocation.counts,
-        )
+        return result.reliability_estimate, result.allocation.block_totals
 
     outcomes = _map_replications(config.replications, config.threads, one)
     r_hats = np.array([o[0] for o in outcomes])
     block_totals = [o[1] for o in outcomes]
-    counts = [o[2] for o in outcomes]
-    return r_hats, block_totals, counts
+    return r_hats, block_totals
 
 
 def run_fixed_split_experiment(config: ExperimentConfig) -> list[FixedSplitPoint]:
@@ -255,19 +236,10 @@ def run_hybrid_expectation(config: ExperimentConfig) -> HybridExpectation:
     if config.total is None:
         raise ValueError("config.total is required")
     total = config.total
-    r_hats, block_totals, counts = _hybrid_replications(config, total, point_key=0)
+    r_hats, block_totals = _hybrid_replications(config, total, point_key=0)
     var, se = empirical_variance(r_hats)
     totals = np.array(block_totals, dtype=float)
     mean_totals = tuple(float(v) for v in totals.mean(axis=0))
-    counts_arr = np.array(
-        [[c for block in rep for c in block] for rep in counts], dtype=float
-    )
-    mean_flat = counts_arr.mean(axis=0)
-    mean_counts = []
-    pos = 0
-    for size in config.assignment.topology.block_sizes:
-        mean_counts.append(tuple(float(v) for v in mean_flat[pos : pos + size]))
-        pos += size
     return HybridExpectation(
         total=total,
         replications=config.replications,
@@ -277,7 +249,6 @@ def run_hybrid_expectation(config: ExperimentConfig) -> HybridExpectation:
         var_hat=var,
         se=se,
         mean_r_hat=float(r_hats.mean()),
-        mean_counts=tuple(mean_counts),
     )
 
 
@@ -287,7 +258,7 @@ def run_convergence_sweep(config: ExperimentConfig) -> list[SweepPoint]:
         raise ValueError("config.sweep is required")
     points = []
     for total in config.sweep:
-        r_hats, _, _ = _hybrid_replications(config, total, point_key=total)
+        r_hats, _ = _hybrid_replications(config, total, point_key=total)
         var, se = empirical_variance(r_hats)
         q = lower_bound_system(config.assignment, total)
         points.append(

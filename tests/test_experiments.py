@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from relialloc import (
@@ -14,7 +16,12 @@ from relialloc import (
     system_variance,
 )
 from relialloc.cases import load_case
-from relialloc.experiments import convergence_rows, fixed_split_rows, table_rows
+from relialloc.experiments import (
+    _map_replications,
+    convergence_rows,
+    fixed_split_rows,
+    table_rows,
+)
 
 
 class TestEmpiricalVariance:
@@ -91,6 +98,20 @@ class TestFixedSplitExperiment:
         assert single == [p for p in full if p.t1 == 9]
         with pytest.raises(ValueError):
             run_fixed_split_experiment(ExperimentConfig(**base, fixed_t1=3))
+
+
+class TestMapReplications:
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_calls_in_index_order_on_calling_thread(self, threads):
+        calls = []
+
+        def fn(k):
+            calls.append((k, threading.get_ident()))
+            return k * k
+
+        results = _map_replications(7, threads, fn)
+        assert results == [k * k for k in range(7)]
+        assert calls == [(k, threading.get_ident()) for k in range(7)]
 
 
 class TestHybridExpectation:
