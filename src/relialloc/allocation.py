@@ -5,6 +5,16 @@ The closed-form rules minimize the leading mismatch penalty of the variance
 to the inverse coefficients of variation; across blocks, budgets
 proportional to (1 - R_j)/R_j times the block's summed inverse cv. The
 rules accept either true reliabilities or estimates; the caller decides.
+The rules and the oracle take their block constants from one call of
+``system_model.block_constants``.
+
+The brute-force oracle walks every composition of the budget in
+lexicographic order as an odometer over the slots: the first slot turns
+slowest, the second-to-last is swept by an inner loop and the last takes
+what is left. The walk keeps, for each slot, the partial products of the
+variance formula over the slots before it, so a candidate costs about one
+slot update instead of a full evaluation, in the same floating-point
+operations as the closed form.
 """
 
 from __future__ import annotations
@@ -14,10 +24,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .system_model import (
+    BlockConstants,
     ReliabilityAssignment,
     SystemTopology,
-    coeff_variation,
-    subsystem_reliability,
+    block_constants,
+    block_weight,
 )
 from .variance_analysis import Allocation, AllocationError, system_variance
 
@@ -54,28 +65,28 @@ def component_fractions(cv_inverses: Sequence[float]) -> tuple[float, ...]:
 
 def subsystem_weights(assignment: ReliabilityAssignment) -> tuple[float, ...]:
     """Unnormalized block weights (1 - R_j)/R_j * sum_i 1/c_ij."""
-    weights = []
-    for j in range(assignment.topology.subsystem_count):
-        r_j = subsystem_reliability(assignment, j)
-        inv_sum = sum(coeff_variation(p)[1] for p in assignment.block(j))
-        weights.append((1.0 - r_j) / r_j * inv_sum)
-    return tuple(weights)
+    return tuple(_weights(block_constants(assignment)))
 
 
-def subsystem_fractions(assignment: ReliabilityAssignment) -> tuple[float, ...]:
-    """Across-block budget fractions, the normalized subsystem weights."""
-    weights = subsystem_weights(assignment)
+def _weights(blocks: Sequence[BlockConstants]) -> list[float]:
+    return [block_weight(r_j, inv_sum) for r_j, _, _, inv_sum in blocks]
+
+
+def _normalized(weights: Sequence[float]) -> tuple[float, ...]:
     total = sum(weights)
     return tuple(w / total for w in weights)
 
 
+def subsystem_fractions(assignment: ReliabilityAssignment) -> tuple[float, ...]:
+    """Across-block budget fractions, the normalized subsystem weights."""
+    return _normalized(subsystem_weights(assignment))
+
+
 def rule_plan(assignment: ReliabilityAssignment) -> AllocationRulePlan:
     """Full rule-based plan: block fractions plus within-block fractions."""
-    comp = tuple(
-        component_fractions([coeff_variation(p)[1] for p in assignment.block(j)])
-        for j in range(assignment.topology.subsystem_count)
-    )
-    return AllocationRulePlan(comp, subsystem_fractions(assignment))
+    blocks = block_constants(assignment)
+    comp = tuple(component_fractions(inv_cv) for _, _, inv_cv, _ in blocks)
+    return AllocationRulePlan(comp, _normalized(_weights(blocks)))
 
 
 def integerize(
@@ -197,18 +208,6 @@ def _allocation_from_flat(topology: SystemTopology, flat: Sequence[int]) -> Allo
     return Allocation(topology, tuple(blocks))
 
 
-def _compositions(total: int, parts: int, minimum: int):
-    """Yield all integer tuples of length ``parts`` with entries >= minimum
-    summing to ``total``, in lexicographic order."""
-    if parts == 1:
-        if total >= minimum:
-            yield (total,)
-        return
-    for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, minimum):
-            yield (first,) + rest
-
-
 def composition_count(total: int, parts: int, minimum: int) -> int:
     """Number of candidates the oracle would enumerate (stars and bars)."""
     free = total - parts * minimum
@@ -244,31 +243,86 @@ def brute_force_optimal(
             f"{n_candidates} candidate allocations exceed the guard of {guard}"
         )
 
-    # Flat per-block constants so the hot loop avoids object construction.
-    block_data = []
-    for j in range(topo.subsystem_count):
-        r_j = subsystem_reliability(assignment, j)
-        u = [p / (1.0 - p) for p in assignment.block(j)]
-        block_data.append(((1.0 - r_j) ** 2, r_j * r_j, u))
-    base = 1.0
-    for _, rj2, _ in block_data:
-        base *= rj2
-
-    best = None
-    best_var = math.inf
-    for candidate in _compositions(total, slots, min_per_slot):
-        prod = 1.0
-        pos = 0
-        for omr2, rj2, u in block_data:
-            p = 1.0
-            for x in u:
-                p *= 1.0 + x / candidate[pos]
-                pos += 1
-            prod *= omr2 * (p - 1.0) + rj2
-        var = prod - base
-        if var < best_var:
-            best_var = var
-            best = candidate
+    best = _best_composition(block_constants(assignment), total, min_per_slot)
     allocation = _allocation_from_flat(topo, best)
     # recompute through the public path so the reported value is authoritative
     return allocation, system_variance(assignment, allocation)
+
+
+def _best_composition(
+    blocks: Sequence[BlockConstants], total: int, minimum: int
+) -> tuple[int, ...] | None:
+    """First composition in lexicographic order with the least variance.
+
+    Returns None when no candidate has a variance below infinity. Float
+    operations match ``system_variance`` on each candidate exactly:
+    products accumulate slot by slot from 1.0, block terms are
+    (1 - R_j)^2 * (P_j - 1) + R_j^2, and the system product accumulates
+    block by block.
+    """
+    # Per slot: u_ij, and for the slot that closes its block the constants
+    # ((1 - R_j)^2, R_j^2) of that block's term, else None.
+    u = []
+    close = []
+    base = 1.0
+    for r_j, u_j, _, _ in blocks:
+        u.extend(u_j)
+        close.extend([None] * (len(u_j) - 1))
+        close.append(((1.0 - r_j) ** 2, r_j * r_j))
+        base *= r_j * r_j
+    last = len(u) - 1
+    if not last:  # one slot, one candidate, and its variance is finite
+        return (total,)
+    swept = last - 1
+    counts = [minimum] * len(u)
+    # State entering slot s: the block's partial product, the product of the
+    # closed blocks' terms, and the budget left for slots s onwards.
+    inner = [1.0] * len(u)
+    outer = [1.0] * len(u)
+    left = [total] * len(u)
+    best = None
+    best_var = math.inf
+    stale = 0  # first slot whose outgoing state must be recomputed
+    while True:
+        for s in range(stale, swept):
+            prod = inner[s] * (1.0 + u[s] / counts[s])
+            term = close[s]
+            if term is None:
+                inner[s + 1] = prod
+                outer[s + 1] = outer[s]
+            else:
+                inner[s + 1] = 1.0
+                outer[s + 1] = outer[s] * (term[0] * (prod - 1.0) + term[1])
+            left[s + 1] = left[s] - counts[s]
+        # Sweep the second-to-last slot; the last slot takes the rest.
+        head = inner[swept]
+        acc = outer[swept]
+        rest = left[swept]
+        x = u[swept]
+        y = u[last]
+        c_last, d_last = close[last]
+        if close[swept] is None:
+            for m in range(minimum, rest - minimum + 1):
+                prod = head * (1.0 + x / m) * (1.0 + y / (rest - m))
+                var = acc * (c_last * (prod - 1.0) + d_last) - base
+                if var < best_var:
+                    best_var = var
+                    best = (*counts[:swept], m, rest - m)
+        else:
+            c_swept, d_swept = close[swept]
+            for m in range(minimum, rest - minimum + 1):
+                closed = acc * (c_swept * (head * (1.0 + x / m) - 1.0) + d_swept)
+                var = closed * (c_last * (1.0 + y / (rest - m) - 1.0) + d_last) - base
+                if var < best_var:
+                    best_var = var
+                    best = (*counts[:swept], m, rest - m)
+        # Odometer: advance the rightmost slot before the swept one that can
+        # still grow, and reset the slots after it to the minimum.
+        stale = swept - 1
+        while stale >= 0 and counts[stale] == left[stale] - (last - stale) * minimum:
+            stale -= 1
+        if stale < 0:
+            return best
+        counts[stale] += 1
+        for s in range(stale + 1, swept):
+            counts[s] = minimum

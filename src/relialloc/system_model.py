@@ -6,6 +6,12 @@ one of its components works; the system works if every block works.
 
 Component slots are addressed as (i, j): component i within block j,
 stored block-major. All other modules share this layout.
+
+``block_constants`` is the one place that derives the per-block constants
+of the exact engine and the allocation rules (R_j, u_ij = p/(1-p), 1/c_ij
+and their sum), and ``block_weight`` the block weight of the across-block
+rule; ``variance_analysis`` and ``allocation`` call ``block_constants``
+once per public call.
 """
 
 from __future__ import annotations
@@ -113,12 +119,17 @@ class DualSystem:
             raise SystemSpecError(f"unknown system kind: {self.kind!r}")
 
 
+def _failure(block) -> float:
+    # F_j = prod_i (1 - R_ij), the probability that every component fails
+    failure = 1.0
+    for v in block:
+        failure *= 1.0 - v
+    return failure
+
+
 def subsystem_reliability(assignment: ReliabilityAssignment, j: int) -> float:
     """Reliability of parallel block j: 1 - prod_i (1 - R_ij)."""
-    failure = 1.0
-    for v in assignment.block(j):
-        failure *= 1.0 - v
-    return 1.0 - failure
+    return 1.0 - _failure(assignment.block(j))
 
 
 def system_reliability(assignment: ReliabilityAssignment) -> float:
@@ -140,6 +151,35 @@ def coeff_variation(p: float) -> tuple[float, float]:
         raise ValueError(f"probability must lie strictly in (0, 1), got {p}")
     c = math.sqrt(1.0 / p - 1.0)
     return c, math.sqrt(p / (1.0 - p))
+
+
+#: The constants of one parallel block j, as ``block_constants`` returns them:
+#: (R_j, [u_1j, u_2j, ...], [1/c_1j, 1/c_2j, ...], sum_i 1/c_ij).
+BlockConstants = tuple[float, list[float], list[float], float]
+
+
+def block_constants(assignment: ReliabilityAssignment) -> tuple[BlockConstants, ...]:
+    """The constants of every block of the assignment, in block order, in one pass.
+
+    Per block: R_j = 1 - prod_i (1 - R_ij), as ``subsystem_reliability``
+    gives it; u_ij = R_ij / (1 - R_ij), the squared inverse coefficients of
+    variation; 1/c_ij = sqrt(u_ij), as ``coeff_variation`` gives them; and
+    their sum. Nothing is cached: each call recomputes from the assignment.
+    """
+    blocks = []
+    for block in assignment.values:
+        u = [p / (1.0 - p) for p in block]
+        inv_cv = list(map(math.sqrt, u))
+        blocks.append((1.0 - _failure(block), u, inv_cv, sum(inv_cv)))
+    return tuple(blocks)
+
+
+def block_weight(reliability: float, inv_sum: float) -> float:
+    """A block's weight (1 - R_j)/R_j * sum_i 1/c_ij in the across-block rule.
+
+    Raises ZeroDivisionError for a block whose reliability rounds to 0.
+    """
+    return (1.0 - reliability) / reliability * inv_sum
 
 
 def dual_transform(system: DualSystem) -> DualSystem:

@@ -13,6 +13,9 @@ variation. Both formulas are exact under independence, not asymptotic.
 The lower bounds ``lower_bound_subsystem`` and ``lower_bound_system`` hold
 for every allocation with the same budget and follow from the Lagrange
 identity implemented by ``lagrange_decomposition``.
+
+The variances and the lower bounds each take R_j, u_ij and sum_i 1/c_ij
+from one call of ``system_model.block_constants``.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from typing import Sequence
 from .system_model import (
     ReliabilityAssignment,
     SystemTopology,
-    coeff_variation,
-    subsystem_reliability,
+    block_constants,
+    block_weight,
 )
 
 
@@ -41,13 +44,13 @@ class Allocation:
     counts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        counts = tuple(tuple(int(c) for c in block) for block in self.counts)
-        shape = tuple(len(block) for block in counts)
+        counts = tuple(tuple(map(int, block)) for block in self.counts)
+        shape = tuple(map(len, counts))
         if shape != self.topology.block_sizes:
             raise AllocationError(
                 f"allocation shape {shape} does not match topology {self.topology.block_sizes}"
             )
-        if any(c < 0 for block in counts for c in block):
+        if min(map(min, counts)) < 0:
             raise AllocationError("sample counts must be nonnegative")
         object.__setattr__(self, "counts", counts)
 
@@ -73,7 +76,7 @@ class Allocation:
         """Variance formulas divide by each count; zero counts are infeasible."""
         blocks = [j] if j is not None else range(len(self.counts))
         for jj in blocks:
-            if any(c < 1 for c in self.counts[jj]):
+            if min(self.counts[jj]) < 1:
                 raise AllocationError(
                     f"subsystem {jj + 1} has a zero sample count; every slot needs >= 1"
                 )
@@ -126,9 +129,11 @@ def lagrange_decomposition(
     return leading, remainder / big_n
 
 
-def _cv_inv_sq(p: float) -> float:
-    # p/(1-p), the squared inverse coefficient of variation
-    return p / (1.0 - p)
+def _block_variance(r_j: float, u: Sequence[float], counts: Sequence[int]) -> float:
+    prod = 1.0
+    for x, m in zip(u, counts):
+        prod *= 1.0 + x / m
+    return (1.0 - r_j) ** 2 * (prod - 1.0)
 
 
 def subsystem_variance(
@@ -138,11 +143,9 @@ def subsystem_variance(
     if allocation.topology.block_sizes != assignment.topology.block_sizes:
         raise AllocationError("allocation and assignment shapes differ")
     allocation.require_positive(j)
-    r_j = subsystem_reliability(assignment, j)
-    prod = 1.0
-    for p, m in zip(assignment.block(j), allocation.block(j)):
-        prod *= 1.0 + _cv_inv_sq(p) / m
-    return (1.0 - r_j) ** 2 * (prod - 1.0)
+    assignment.topology.check_subsystem(j)
+    r_j, u, _, _ = block_constants(assignment)[j]
+    return _block_variance(r_j, u, allocation.counts[j])
 
 
 def system_variance(assignment: ReliabilityAssignment, allocation: Allocation) -> float:
@@ -152,9 +155,8 @@ def system_variance(assignment: ReliabilityAssignment, allocation: Allocation) -
     allocation.require_positive()
     prod = 1.0
     base = 1.0
-    for j in range(assignment.topology.subsystem_count):
-        r_j = subsystem_reliability(assignment, j)
-        prod *= subsystem_variance(assignment, j, allocation) + r_j * r_j
+    for (r_j, u, _, _), counts in zip(block_constants(assignment), allocation.counts):
+        prod *= _block_variance(r_j, u, counts) + r_j * r_j
         base *= r_j * r_j
     return prod - base
 
@@ -170,8 +172,8 @@ def lower_bound_subsystem(
     """
     if total < 1:
         raise AllocationError(f"block budget must be >= 1, got {total}")
-    r_j = subsystem_reliability(assignment, j)
-    inv_sum = sum(coeff_variation(p)[1] for p in assignment.block(j))
+    assignment.topology.check_subsystem(j)
+    r_j, _, _, inv_sum = block_constants(assignment)[j]
     return (1.0 - r_j) ** 2 * inv_sum * inv_sum / total
 
 
@@ -185,11 +187,9 @@ def lower_bound_system(assignment: ReliabilityAssignment, total: float) -> float
         raise AllocationError(f"total budget must be >= 1, got {total}")
     r = 1.0
     weight = 0.0
-    for j in range(assignment.topology.subsystem_count):
-        r_j = subsystem_reliability(assignment, j)
+    for r_j, _, _, inv_sum in block_constants(assignment):
         r *= r_j
-        inv_sum = sum(coeff_variation(p)[1] for p in assignment.block(j))
-        weight += (1.0 - r_j) / r_j * inv_sum
+        weight += block_weight(r_j, inv_sum)
     return r * r * weight * weight / total
 
 

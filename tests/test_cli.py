@@ -71,6 +71,12 @@ class TestAllocate:
         assert result.exit_code == 0
         assert "M = [10, 10]" in result.output
 
+    def test_oracle_on_a_thousand_slots(self, runner, tmp_path):
+        system = write_system(tmp_path, [[0.5, 0.6, 0.7, 0.8, 0.9]] * 240)
+        result = runner.invoke(main, ["allocate", system, "--T", "1201", "--oracle"])
+        assert result.exit_code == 0, result.output
+        assert result.output.count("M = [1, 1, 1, 1, 1]") == 239
+
     def test_oracle_guard_exits_4(self, runner, tmp_path):
         system = write_system(tmp_path, [[0.5] * 4, [0.5] * 4])
         result = runner.invoke(main, ["allocate", system, "--T", "400", "--oracle"])
