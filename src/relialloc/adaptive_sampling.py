@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import component_fractions, integerize
-from .system_model import ReliabilityAssignment, SystemTopology
+from .system_model import ReliabilityAssignment, SystemTopology, block_weight
 from .variance_analysis import Allocation, AllocationError
 
 
@@ -141,10 +141,6 @@ class SampleLedger:
 
     def block_total(self, j: int) -> int:
         return sum(self.draws[j])
-
-    @property
-    def total_draws(self) -> int:
-        return sum(sum(block) for block in self.draws)
 
     def to_allocation(self) -> Allocation:
         return Allocation(self.topology, tuple(tuple(block) for block in self.draws))
@@ -295,8 +291,7 @@ def hybrid_two_stage(
             r_hat, _, cv_inv = mle_cv(d, s)
             inv_sum += cv_inv
             failure *= 1.0 - r_hat
-        r_block = 1.0 - failure
-        weights.append((1.0 - r_block) / r_block * inv_sum)
+        weights.append(block_weight(1.0 - failure, inv_sum))
     w_total = sum(weights)
     fractions = [w / w_total for w in weights]
     block_budgets = integerize(fractions, total, outer_pilot)

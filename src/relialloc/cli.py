@@ -26,14 +26,7 @@ from pathlib import Path
 import click
 
 from . import __version__, cases
-from .adaptive_sampling import (
-    SampleLedger,
-    SimulatedSource,
-    SourceExhaustedError,
-    estimate_reliability,
-    hybrid_two_stage,
-    two_stage_subsystem,
-)
+from .adaptive_sampling import SourceExhaustedError, hybrid_two_stage
 from .allocation import (
     OracleGuardError,
     balanced_allocation,
@@ -44,8 +37,10 @@ from .experiments import (
     SWEEP_REPLICATIONS,
     TABLE_REPLICATIONS,
     ExperimentConfig,
+    _map_replications,
     convergence_rows,
     empirical_variance,
+    fixed_split_replications,
     fixed_split_rows,
     format_value,
     replication_rng,
@@ -120,14 +115,6 @@ def _resolve_seed(seed: int | None) -> int:
         except ValueError:
             raise SystemSpecError(f"RELIALLOC_SEED must be an integer, got {env!r}")
     return 0
-
-
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        return os.cpu_count() or 1
-    if threads < 1:
-        raise click.UsageError("--threads must be at least 1")
-    return threads
 
 
 def _load_allocation(path, assignment: ReliabilityAssignment) -> Allocation:
@@ -246,34 +233,6 @@ def allocate(system, total, mode, min_per_slot):
     click.echo(f"lower bound Q(T={total}) = {_f6(lower_bound_system(assignment, total))}")
 
 
-def _simulate_hybrid(assignment, total, reps, seed, threads):
-    from .experiments import _map_replications
-
-    def one(rep):
-        rng = replication_rng(seed, 0, rep)
-        result = hybrid_two_stage(SimulatedSource(assignment, rng), assignment.topology, total)
-        return result.reliability_estimate, result.allocation
-
-    return _map_replications(reps, threads, one)
-
-
-def _simulate_fixed_split(assignment, total, t1, reps, seed, threads):
-    from .experiments import _map_replications
-
-    if assignment.topology.subsystem_count != 2:
-        raise ValueError("--scheme fixed-split needs exactly two subsystems")
-
-    def one(rep):
-        rng = replication_rng(seed, t1, rep)
-        source = SimulatedSource(assignment, rng)
-        ledger = SampleLedger(assignment.topology)
-        two_stage_subsystem(source, 0, t1, ledger)
-        two_stage_subsystem(source, 1, total - t1, ledger)
-        return estimate_reliability(ledger, assignment.topology), ledger.to_allocation()
-
-    return _map_replications(reps, threads, one)
-
-
 @main.command()
 @click.argument("system", type=str)
 @click.option("--T", "total", type=int, required=True, help="Total observation budget.")
@@ -284,7 +243,7 @@ def _simulate_fixed_split(assignment, total, t1, reps, seed, threads):
 @click.option("--reps", type=int, required=True, help="Replications (at least 2).")
 @click.option("--seed", type=int, default=None, help="Master seed; falls back to RELIALLOC_SEED, then 0.")
 @click.option("--out", "out_path", type=str, required=True, help="Output CSV path.")
-@click.option("--threads", type=int, default=None,
+@click.option("--threads", type=click.IntRange(min=1), default=None,
               help="Accepted for compatibility; does nothing (replications run in "
                    "index order on one thread).")
 @_guarded
@@ -296,20 +255,23 @@ def simulate(system, total, scheme, t1, reps, seed, out_path, threads):
         raise click.UsageError("--scheme fixed-split requires --T1")
     assignment = _resolve_system(system)
     seed = _resolve_seed(seed)
-    threads = _resolve_threads(threads)
     topo = assignment.topology
 
+    # records: one (R_hat, per-slot counts) pair per replication
     if scheme == "hybrid":
-        outcomes = _simulate_hybrid(assignment, total, reps, seed, threads)
-        records = [(r, alloc.block_totals, alloc.counts) for r, alloc in outcomes]
+
+        def design(source):
+            result = hybrid_two_stage(source, topo, total)
+            return result.reliability_estimate, result.allocation.counts
+
+        records = _map_replications(assignment, reps, seed, 0, design)
     elif scheme == "fixed-split":
-        outcomes = _simulate_fixed_split(assignment, total, t1, reps, seed, threads)
-        records = [(r, alloc.block_totals, alloc.counts) for r, alloc in outcomes]
+        records = fixed_split_replications(assignment, total, t1, reps, seed)
     else:
         alloc = balanced_allocation(topo, total)
         rng = replication_rng(seed, 0, 0)
         r_hats = simulate_fixed_allocation(assignment, alloc, reps, rng)
-        records = [(float(r), alloc.block_totals, alloc.counts) for r in r_hats]
+        records = [(float(r), alloc.counts) for r in r_hats]
 
     header = ["rep", "R_hat"]
     header += [f"T_{j + 1}" for j in range(topo.subsystem_count)]
@@ -319,24 +281,25 @@ def simulate(system, total, scheme, t1, reps, seed, out_path, threads):
         for i in range(topo.block_sizes[j])
     ]
     rows = []
-    for rep, (r_hat, totals, counts) in enumerate(records):
-        flat = [c for block in counts for c in block]
+    for rep, (r_hat, counts) in enumerate(records):
         rows.append(
             [str(rep), format_value(float(r_hat))]
-            + [str(t) for t in totals]
-            + [str(c) for c in flat]
+            + [str(sum(block)) for block in counts]
+            + [str(c) for block in counts for c in block]
         )
     k = len(records)
-    mean_r = sum(r for r, _, _ in records) / k
-    mean_totals = [sum(rec[1][j] for rec in records) / k for j in range(topo.subsystem_count)]
-    flat_all = [[c for block in rec[2] for c in block] for rec in records]
+    mean_r = sum(r for r, _ in records) / k
+    mean_totals = [
+        sum(sum(counts[j]) for _, counts in records) / k for j in range(topo.subsystem_count)
+    ]
+    flat_all = [[c for block in counts for c in block] for _, counts in records]
     mean_flat = [sum(col) / k for col in zip(*flat_all)]
     rows.append(
         ["mean", format_value(mean_r)]
         + [format_value(v) for v in mean_totals]
         + [format_value(v) for v in mean_flat]
     )
-    var, se = empirical_variance([r for r, _, _ in records])
+    var, se = empirical_variance([r for r, _ in records])
 
     out = Path(out_path)
     _write_csv(out, header, rows)
@@ -373,7 +336,7 @@ def simulate(system, total, scheme, t1, reps, seed, out_path, threads):
 @click.option("--seed", type=int, default=None, help="Master seed; falls back to RELIALLOC_SEED, then 0.")
 @click.option("--sweep", type=str, default=None, help="Budget sweep START:STOP:STEP (convergence).")
 @click.option("--out", "out_path", type=str, required=True, help="Output CSV path.")
-@click.option("--threads", type=int, default=None,
+@click.option("--threads", type=click.IntRange(min=1), default=None,
               help="Accepted for compatibility; does nothing (replications run in "
                    "index order on one thread).")
 @_guarded
@@ -382,7 +345,6 @@ def experiment(mode, system_ref, total, reps, seed, sweep, out_path, threads):
     if mode is None:
         raise click.UsageError("pick one of --fixed-split, --table1, --convergence")
     seed = _resolve_seed(seed)
-    threads = _resolve_threads(threads)
     out = Path(out_path)
 
     if mode == "table1":
@@ -395,7 +357,6 @@ def experiment(mode, system_ref, total, reps, seed, sweep, out_path, threads):
                 replications=reps,
                 master_seed=seed,
                 total=total,
-                threads=threads,
             )
             results.append((name, run_hybrid_expectation(config)))
         header, rows = table_rows(results)
@@ -425,7 +386,6 @@ def experiment(mode, system_ref, total, reps, seed, sweep, out_path, threads):
             replications=reps,
             master_seed=seed,
             total=total,
-            threads=threads,
         )
         points = run_fixed_split_experiment(config)
         header, rows = fixed_split_rows(points)
@@ -464,7 +424,6 @@ def experiment(mode, system_ref, total, reps, seed, sweep, out_path, threads):
         replications=reps,
         master_seed=seed,
         sweep=budgets,
-        threads=threads,
     )
     points = run_convergence_sweep(config)
     header, rows = convergence_rows(points)

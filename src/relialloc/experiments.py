@@ -9,14 +9,15 @@ Three experiment drivers, all pure functions of (config, seed):
   run_convergence_sweep       optimality gap T * (Var - Q) along a budget
                               sweep
 
-Each replication derives its own random stream from
-(master seed, point key, replication index), so sweep points are
+Every Monte Carlo replication, here and in the CLI's ``simulate``, runs
+through one loop, ``_map_replications``, which owns the stream convention:
+replication k at a point draws from
+``replication_rng(master seed, point key, k)``, so sweep points are
 independent and reruns reproduce results exactly. Replications run one
 after another on the calling thread, in index order, and aggregation walks
 them in that order to keep emitted numbers byte-stable. The replication
 work is pure Python bound by the interpreter lock, so worker threads would
-only slow it down; ``ExperimentConfig.threads`` is kept for compatibility
-and changes nothing.
+only slow it down.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ class ExperimentConfig:
     master_seed: int
     total: int | None = None
     sweep: tuple[int, ...] = ()
-    fixed_t1: int | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.replications < 2:
@@ -149,25 +148,63 @@ def simulate_fixed_allocation(
     return r_hat
 
 
-def _map_replications(count: int, threads: int, fn) -> list:
-    """Apply ``fn(replication_index)`` for all indices in index order, on the
-    calling thread. ``threads`` is accepted for compatibility and ignored."""
-    return [fn(k) for k in range(count)]
+def _map_replications(
+    assignment: ReliabilityAssignment, replications: int, master_seed: int, point_key: int, design
+) -> list:
+    """``design(source)`` for replications 0, 1, ... in index order, on the calling thread.
+
+    Replication k draws from ``SimulatedSource(assignment,
+    replication_rng(master_seed, point_key, k))``; no other code derives a
+    replication's stream. The name is private but stays as it is, because
+    the benchmark's tracer times this function by name for
+    ``rep_concurrency``.
+    """
+    return [
+        design(SimulatedSource(assignment, replication_rng(master_seed, point_key, k)))
+        for k in range(replications)
+    ]
 
 
 def _hybrid_replications(config: ExperimentConfig, total: int, point_key: int):
     """All hybrid replications at one budget: (r_hats, block_totals)."""
+    topology = config.assignment.topology
 
-    def one(rep):
-        rng = replication_rng(config.master_seed, point_key, rep)
-        source = SimulatedSource(config.assignment, rng)
-        result = hybrid_two_stage(source, config.assignment.topology, total)
+    def design(source):
+        result = hybrid_two_stage(source, topology, total)
         return result.reliability_estimate, result.allocation.block_totals
 
-    outcomes = _map_replications(config.replications, config.threads, one)
+    outcomes = _map_replications(
+        config.assignment, config.replications, config.master_seed, point_key, design
+    )
     r_hats = np.array([o[0] for o in outcomes])
     block_totals = [o[1] for o in outcomes]
     return r_hats, block_totals
+
+
+def _require_two_blocks(assignment: ReliabilityAssignment) -> None:
+    if assignment.topology.subsystem_count != 2:
+        raise ValueError("the fixed-split design needs exactly two subsystems")
+
+
+def fixed_split_replications(
+    assignment: ReliabilityAssignment, total: int, t1: int, replications: int, master_seed: int
+) -> list[tuple[float, tuple[tuple[int, ...], ...]]]:
+    """(R_hat, per-slot counts) of each replication of one fixed split.
+
+    The component-level two-stage design runs on the first block with
+    budget ``t1`` and on the second with ``total - t1``; ``t1`` is the
+    point key. Two-block systems only.
+    """
+    _require_two_blocks(assignment)
+    topology = assignment.topology
+
+    def design(source):
+        ledger = SampleLedger(topology)
+        two_stage_subsystem(source, 0, t1, ledger)
+        two_stage_subsystem(source, 1, total - t1, ledger)
+        return estimate_reliability(ledger, topology), tuple(tuple(b) for b in ledger.draws)
+
+    return _map_replications(assignment, replications, master_seed, t1, design)
 
 
 def run_fixed_split_experiment(config: ExperimentConfig) -> list[FixedSplitPoint]:
@@ -179,34 +216,16 @@ def run_fixed_split_experiment(config: ExperimentConfig) -> list[FixedSplitPoint
     allocations is reported alongside the Monte Carlo variance.
     """
     assignment = config.assignment
-    if assignment.topology.subsystem_count != 2:
-        raise ValueError("the fixed-split experiment needs exactly two subsystems")
+    _require_two_blocks(assignment)
     if config.total is None:
         raise ValueError("config.total is required")
     total = config.total
     low = pilot_size(total)
-    if config.fixed_t1 is not None:
-        if not low <= config.fixed_t1 <= total - low:
-            raise ValueError(
-                f"fixed T1 must lie in [{low}, {total - low}], got {config.fixed_t1}"
-            )
-        t1_range = [config.fixed_t1]
-    else:
-        t1_range = range(low, total - low + 1)
     points = []
-    for t1 in t1_range:
-
-        def one(rep, t1=t1):
-            rng = replication_rng(config.master_seed, t1, rep)
-            source = SimulatedSource(assignment, rng)
-            ledger = SampleLedger(assignment.topology)
-            two_stage_subsystem(source, 0, t1, ledger)
-            two_stage_subsystem(source, 1, total - t1, ledger)
-            return estimate_reliability(ledger, assignment.topology), tuple(
-                tuple(b) for b in ledger.draws
-            )
-
-        outcomes = _map_replications(config.replications, config.threads, one)
+    for t1 in range(low, total - low + 1):
+        outcomes = fixed_split_replications(
+            assignment, total, t1, config.replications, config.master_seed
+        )
         r_hats = np.array([o[0] for o in outcomes])
         var, se = empirical_variance(r_hats)
 

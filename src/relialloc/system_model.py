@@ -206,7 +206,9 @@ def parse_system(payload) -> ReliabilityAssignment:
     """Parse the canonical system mapping: {"blocks": [[...], ...]}.
 
     The outer list holds subsystems in series; each inner list holds the
-    parallel component reliabilities of one block.
+    parallel component reliabilities of one block. A block whose
+    reliability 1 - prod(1 - p) rounds to 0 is rejected: the block weight
+    of the allocation rules divides by it.
     """
     if not isinstance(payload, dict) or "blocks" not in payload:
         raise SystemSpecError('system description must be an object with a "blocks" key')
@@ -219,7 +221,11 @@ def parse_system(payload) -> ReliabilityAssignment:
         for v in block:
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise SystemSpecError(f"reliability entries must be numbers, got {v!r}")
-    return ReliabilityAssignment.from_blocks(blocks)
+    assignment = ReliabilityAssignment.from_blocks(blocks)
+    for j, block in enumerate(assignment.values):
+        if 1.0 - _failure(block) == 0.0:
+            raise SystemSpecError(f"subsystem {j + 1} has a reliability that rounds to 0")
+    return assignment
 
 
 def load_system(path) -> ReliabilityAssignment:

@@ -3,6 +3,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from relialloc import ExperimentConfig, run_fixed_split_experiment, run_hybrid_expectation
+from relialloc.cases import load_case
 from relialloc.cli import main
 
 
@@ -44,6 +46,14 @@ class TestEvaluate:
     def test_unknown_bundled_case_exits_2(self, runner):
         result = runner.invoke(main, ["evaluate", "case:nope"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["allocate", "--T", "10"]])
+    def test_block_with_zero_reliability_exits_2(self, runner, tmp_path, command):
+        system = write_system(tmp_path, [[1e-300], [0.5]])
+        result = runner.invoke(main, command[:1] + [system] + command[1:])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "subsystem 1" in result.output
 
     def test_zero_count_allocation_exits_3(self, runner, tmp_path):
         system = write_system(tmp_path, [[0.5, 0.5]])
@@ -174,6 +184,30 @@ class TestSimulate:
             cells = line.split(",")
             assert (int(cells[2]), int(cells[3])) == (12, 8)
 
+    @pytest.mark.parametrize(
+        "scheme", [["fixed-split", "--T1", "9"], ["hybrid"]], ids=["fixed-split", "hybrid"]
+    )
+    def test_summary_matches_the_library_driver(self, runner, tmp_path, scheme):
+        out = tmp_path / "sim.csv"
+        result = runner.invoke(
+            main,
+            ["simulate", "case:D", "--T", "20", "--reps", "40", "--seed", "6",
+             "--out", str(out), "--scheme"] + scheme,
+        )
+        assert result.exit_code == 0, result.output
+        summary = json.loads(out.with_suffix(".meta.json").read_text())["summary"]
+        config = ExperimentConfig(
+            assignment=load_case("D"), replications=40, master_seed=6, total=20
+        )
+        if scheme[0] == "fixed-split":
+            expected = next(p for p in run_fixed_split_experiment(config) if p.t1 == 9)
+        else:
+            expected = run_hybrid_expectation(config)
+        assert summary["var_R_hat"] == expected.var_hat
+        # The CLI sums R_hat in index order, numpy's mean pairwise: they may
+        # differ in the last bit.
+        assert summary["mean_R_hat"] == pytest.approx(expected.mean_r_hat, rel=1e-15)
+
     def test_single_replication_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -200,6 +234,20 @@ class TestSimulate:
              "--out", str(blocker / "deep" / "x.csv")],
         )
         assert result.exit_code == 5
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "case:A", "--T", "20", "--reps", "5"],
+        ["experiment", "--table1", "--reps", "5"],
+    ],
+)
+def test_zero_threads_is_usage_error(runner, tmp_path, args):
+    out = tmp_path / "x.csv"
+    result = runner.invoke(main, args + ["--out", str(out), "--threads", "0"])
+    assert result.exit_code == 2
+    assert not out.exists()
 
 
 class TestExperiment:

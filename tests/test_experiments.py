@@ -6,6 +6,7 @@ from relialloc import (
     Allocation,
     ExperimentConfig,
     ReliabilityAssignment,
+    SimulatedSource,
     empirical_variance,
     lower_bound_system,
     replication_rng,
@@ -19,6 +20,7 @@ from relialloc.cases import load_case
 from relialloc.experiments import (
     _map_replications,
     convergence_rows,
+    fixed_split_replications,
     fixed_split_rows,
     table_rows,
 )
@@ -91,27 +93,31 @@ class TestFixedSplitExperiment:
         with pytest.raises(ValueError):
             run_fixed_split_experiment(config)
 
-    def test_single_split_matches_full_sweep_point(self):
-        base = dict(assignment=load_case("D"), replications=50, master_seed=5, total=20)
-        full = run_fixed_split_experiment(ExperimentConfig(**base))
-        single = run_fixed_split_experiment(ExperimentConfig(**base, fixed_t1=9))
-        assert single == [p for p in full if p.t1 == 9]
-        with pytest.raises(ValueError):
-            run_fixed_split_experiment(ExperimentConfig(**base, fixed_t1=3))
+    def test_needs_two_blocks_even_with_an_empty_split_range(self):
+        a = ReliabilityAssignment.from_blocks([[0.5], [0.5], [0.5]])
+        config = ExperimentConfig(assignment=a, replications=2, master_seed=5, total=1)
+        with pytest.raises(ValueError, match="two subsystems"):
+            run_fixed_split_experiment(config)
+        with pytest.raises(ValueError, match="two subsystems"):
+            fixed_split_replications(a, 20, 10, 2, 5)
 
 
 class TestMapReplications:
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_calls_in_index_order_on_calling_thread(self, threads):
+    @pytest.mark.parametrize("replications", [1, 4])
+    def test_calls_in_index_order_on_calling_thread(self, replications):
+        a = load_case("A")
         calls = []
 
-        def fn(k):
-            calls.append((k, threading.get_ident()))
-            return k * k
+        def design(source):
+            assert isinstance(source, SimulatedSource) and source.assignment is a
+            drawn = source.rng.random(3).tolist()
+            calls.append((threading.get_ident(), drawn))
+            return drawn
 
-        results = _map_replications(7, threads, fn)
-        assert results == [k * k for k in range(7)]
-        assert calls == [(k, threading.get_ident()) for k in range(7)]
+        results = _map_replications(a, replications, 11, 7, design)
+        expected = [replication_rng(11, 7, k).random(3).tolist() for k in range(replications)]
+        assert calls == [(threading.get_ident(), drawn) for drawn in expected]
+        assert results == expected
 
 
 class TestHybridExpectation:
@@ -122,12 +128,6 @@ class TestHybridExpectation:
         res = run_hybrid_expectation(config)
         assert abs(res.rounded_t1 - 16) <= 2
         assert sum(res.mean_block_totals) == pytest.approx(20.0, abs=1e-9)
-
-    def test_threads_do_not_change_results(self):
-        base = dict(assignment=load_case("B"), replications=200, master_seed=6, total=20)
-        serial = run_hybrid_expectation(ExperimentConfig(**base, threads=1))
-        threaded = run_hybrid_expectation(ExperimentConfig(**base, threads=4))
-        assert serial == threaded
 
 
 class TestConvergenceSweep:

@@ -208,3 +208,9 @@ class TestSystemFiles:
     def test_parse_rejects_bool(self):
         with pytest.raises(SystemSpecError):
             parse_system({"blocks": [[True, 0.5]]})
+
+    def test_parse_rejects_block_whose_reliability_rounds_to_zero(self):
+        with pytest.raises(SystemSpecError, match="subsystem 2"):
+            parse_system({"blocks": [[0.5], [1e-300, 1e-17]]})
+        # a tiny component beside a workable one is fine
+        assert parse_system({"blocks": [[1e-300, 0.5]]}).values == ((1e-300, 0.5),)
