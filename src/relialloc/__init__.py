@@ -18,7 +18,6 @@ from .adaptive_sampling import (
     SampleLedger,
     SimulatedSource,
     SourceExhaustedError,
-    StagePlan,
     estimate_reliability,
     hybrid_two_stage,
     mle_cv,
@@ -38,7 +37,6 @@ from .allocation import (
     subsystem_fractions,
 )
 from .experiments import (
-    ExperimentConfig,
     FixedSplitPoint,
     HybridExpectation,
     SweepPoint,
@@ -82,7 +80,6 @@ __all__ = [
     "BernoulliSource",
     "BudgetError",
     "DualSystem",
-    "ExperimentConfig",
     "FixedSplitPoint",
     "HybridExpectation",
     "HybridResult",
@@ -92,7 +89,6 @@ __all__ = [
     "SampleLedger",
     "SimulatedSource",
     "SourceExhaustedError",
-    "StagePlan",
     "SweepPoint",
     "SystemSpecError",
     "SystemTopology",

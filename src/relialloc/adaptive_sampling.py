@@ -147,23 +147,6 @@ class SampleLedger:
 
 
 @dataclass(frozen=True)
-class StagePlan:
-    """Resolved design for one block: pilot size, budget, per-slot targets."""
-
-    pilot: int
-    budget: int
-    targets: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.pilot < 1:
-            raise ValueError("pilot must be at least 1")
-        if self.pilot * len(self.targets) > self.budget:
-            raise ValueError("pilot exceeds budget / slot count")
-        if sum(self.targets) != self.budget:
-            raise ValueError("targets must sum to the budget")
-
-
-@dataclass(frozen=True)
 class HybridResult:
     """Outcome of one hybrid replication."""
 
@@ -209,13 +192,10 @@ def _block_pilot(budget: int, existing: list[int]) -> int:
     return pilot
 
 
-def plan_block_targets(
-    cv_inverses, budget: int, floors, pilot: int
-) -> StagePlan:
-    """Combine estimated inverse cvs with floors into final slot targets."""
-    fractions = component_fractions(cv_inverses)
-    targets = integerize(fractions, budget, floors)
-    return StagePlan(pilot, budget, targets)
+def plan_block_targets(cv_inverses, budget: int, floors) -> tuple[int, ...]:
+    """Combine estimated inverse cvs with floors into final slot targets
+    that sum to ``budget``."""
+    return integerize(component_fractions(cv_inverses), budget, floors)
 
 
 def two_stage_subsystem(
@@ -248,8 +228,7 @@ def two_stage_subsystem(
     # Stage 2: allocate the rest by estimated inverse cv, then top up. The
     # pooled draws are the floors; integerize copies them before any top-up.
     cv_inverses = [mle_cv(d, s)[2] for d, s in zip(draws, successes)]
-    plan = plan_block_targets(cv_inverses, budget, draws, pilot)
-    for i, target in enumerate(plan.targets):
+    for i, target in enumerate(plan_block_targets(cv_inverses, budget, draws)):
         need = target - draws[i]
         if need > 0:
             ledger.record(i, j, need, source.draw_many(i, j, need))

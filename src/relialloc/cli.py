@@ -36,7 +36,6 @@ from .allocation import (
 from .experiments import (
     SWEEP_REPLICATIONS,
     TABLE_REPLICATIONS,
-    ExperimentConfig,
     _map_replications,
     convergence_rows,
     empirical_variance,
@@ -56,6 +55,8 @@ from .system_model import (
     coeff_variation,
     dump_system,
     load_system,
+    parse_blocks,
+    read_json,
     subsystem_reliability,
     system_reliability,
 )
@@ -105,28 +106,9 @@ def _resolve_system(ref: str) -> ReliabilityAssignment:
     return load_system(ref)
 
 
-def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    env = os.environ.get("RELIALLOC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemSpecError(f"RELIALLOC_SEED must be an integer, got {env!r}")
-    return 0
-
-
 def _load_allocation(path, assignment: ReliabilityAssignment) -> Allocation:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise SystemSpecError(f"cannot read allocation file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SystemSpecError(f"allocation file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "blocks" not in payload:
-        raise SystemSpecError('allocation file must be an object with a "blocks" key')
-    return Allocation(assignment.topology, tuple(tuple(b) for b in payload["blocks"]))
+    blocks = parse_blocks(read_json(path, "allocation file"), "allocation file", (int,))
+    return Allocation(assignment.topology, tuple(tuple(b) for b in blocks))
 
 
 def _write_text_atomic(path: Path, text: str) -> None:
@@ -144,26 +126,25 @@ def _write_text_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _write_outputs(
+    out_path: Path, header: list[str], rows: list[list[str]], command: str, config: dict,
+    extras: dict,
+) -> None:
+    """The CSV, then its ``.meta.json`` provenance record. Thread count is an
+    execution detail, never configuration, so it is deliberately not recorded."""
     lines = [",".join(header)] + [",".join(row) for row in rows]
-    _write_text_atomic(path, "\n".join(lines) + "\n")
-
-
-def _write_sidecar(out_path: Path, command: str, config: dict, extras: dict | None = None) -> Path:
-    """Provenance record next to a data file. Thread count is an execution
-    detail, never configuration, so it is deliberately not recorded."""
-    sidecar = out_path.with_suffix(".meta.json")
+    _write_text_atomic(out_path, "\n".join(lines) + "\n")
     payload = {
         "artifact": "relialloc",
         "version": __version__,
         "command": command,
         "config": config,
         "output": out_path.name,
+        **extras,
     }
-    if extras:
-        payload.update(extras)
-    _write_text_atomic(sidecar, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return sidecar
+    _write_text_atomic(
+        out_path.with_suffix(".meta.json"), json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    )
 
 
 def _f6(x: float) -> str:
@@ -233,6 +214,17 @@ def allocate(system, total, mode, min_per_slot):
     click.echo(f"lower bound Q(T={total}) = {_f6(lower_bound_system(assignment, total))}")
 
 
+_SEED = click.option(
+    "--seed", type=click.IntRange(min=0), default=0, envvar="RELIALLOC_SEED",
+    help="Master seed (>= 0); falls back to RELIALLOC_SEED, then 0.",
+)
+_THREADS = click.option(
+    "--threads", type=click.IntRange(min=1), default=None,
+    help="Accepted for compatibility; does nothing (replications run in "
+         "index order on one thread).",
+)
+
+
 @main.command()
 @click.argument("system", type=str)
 @click.option("--T", "total", type=int, required=True, help="Total observation budget.")
@@ -240,21 +232,17 @@ def allocate(system, total, mode, min_per_slot):
               default="hybrid", show_default=True)
 @click.option("--T1", "t1", type=int, default=None,
               help="First-block budget (fixed-split scheme only).")
-@click.option("--reps", type=int, required=True, help="Replications (at least 2).")
-@click.option("--seed", type=int, default=None, help="Master seed; falls back to RELIALLOC_SEED, then 0.")
+@click.option("--reps", type=click.IntRange(min=2), required=True,
+              help="Replications (at least 2).")
+@_SEED
 @click.option("--out", "out_path", type=str, required=True, help="Output CSV path.")
-@click.option("--threads", type=click.IntRange(min=1), default=None,
-              help="Accepted for compatibility; does nothing (replications run in "
-                   "index order on one thread).")
+@_THREADS
 @_guarded
 def simulate(system, total, scheme, t1, reps, seed, out_path, threads):
     """Replicate one sampling scheme; write per-replication records and a mean row."""
-    if reps < 2:
-        raise click.UsageError("--reps must be at least 2 (sample variance is undefined)")
     if scheme == "fixed-split" and t1 is None:
         raise click.UsageError("--scheme fixed-split requires --T1")
     assignment = _resolve_system(system)
-    seed = _resolve_seed(seed)
     topo = assignment.topology
 
     # records: one (R_hat, per-slot counts) pair per replication
@@ -302,21 +290,17 @@ def simulate(system, total, scheme, t1, reps, seed, out_path, threads):
     var, se = empirical_variance([r for r, _ in records])
 
     out = Path(out_path)
-    _write_csv(out, header, rows)
-    _write_sidecar(
-        out,
-        "simulate",
-        {
-            "system": dump_system(assignment),
-            "system_ref": system,
-            "T": total,
-            "scheme": scheme,
-            "T1": t1,
-            "reps": reps,
-            "seed": seed,
-        },
-        extras={"summary": {"mean_R_hat": mean_r, "var_R_hat": var, "se_var": se}},
-    )
+    config = {
+        "system": dump_system(assignment),
+        "system_ref": system,
+        "T": total,
+        "scheme": scheme,
+        "T1": t1,
+        "reps": reps,
+        "seed": seed,
+    }
+    summary = {"mean_R_hat": mean_r, "var_R_hat": var, "se_var": se}
+    _write_outputs(out, header, rows, "simulate", config, {"summary": summary})
     click.echo(f"wrote {out} ({reps} replications), var(R_hat) = {_f6(var)}")
 
 
@@ -329,116 +313,62 @@ def simulate(system, total, scheme, t1, reps, seed, out_path, threads):
               help="Optimality gap along a budget sweep.")
 @click.option("--system", "system_ref", type=str, default=None,
               help="System JSON path or case:NAME (fixed-split / convergence).")
-@click.option("--T", "total", type=int, default=None, help="Budget (default 20).")
-@click.option("--reps", type=int, default=None,
-              help=f"Replications (defaults: {TABLE_REPLICATIONS} fixed-split/table1, "
-                   f"{SWEEP_REPLICATIONS} convergence).")
-@click.option("--seed", type=int, default=None, help="Master seed; falls back to RELIALLOC_SEED, then 0.")
+@click.option("--T", "total", type=int, default=20, help="Budget (default 20).")
+@click.option("--reps", type=click.IntRange(min=2), default=None,
+              help=f"Replications, at least 2 (defaults: {TABLE_REPLICATIONS} "
+                   f"fixed-split/table1, {SWEEP_REPLICATIONS} convergence).")
+@_SEED
 @click.option("--sweep", type=str, default=None, help="Budget sweep START:STOP:STEP (convergence).")
 @click.option("--out", "out_path", type=str, required=True, help="Output CSV path.")
-@click.option("--threads", type=click.IntRange(min=1), default=None,
-              help="Accepted for compatibility; does nothing (replications run in "
-                   "index order on one thread).")
+@_THREADS
 @_guarded
 def experiment(mode, system_ref, total, reps, seed, sweep, out_path, threads):
     """Run one of the canned experiments and write its data file."""
     if mode is None:
         raise click.UsageError("pick one of --fixed-split, --table1, --convergence")
-    seed = _resolve_seed(seed)
-    out = Path(out_path)
+    if reps is None:
+        reps = SWEEP_REPLICATIONS if mode == "convergence" else TABLE_REPLICATIONS
 
+    extras = {}
     if mode == "table1":
-        reps = TABLE_REPLICATIONS if reps is None else reps
-        total = 20 if total is None else total
-        results = []
-        for name in cases.BENCH_CASES:
-            config = ExperimentConfig(
-                assignment=cases.load_case(name),
-                replications=reps,
-                master_seed=seed,
-                total=total,
-            )
-            results.append((name, run_hybrid_expectation(config)))
+        results = [
+            (name, run_hybrid_expectation(cases.load_case(name), total, reps, seed))
+            for name in cases.BENCH_CASES
+        ]
         header, rows = table_rows(results)
-        _write_csv(out, header, rows)
-        _write_sidecar(
-            out,
-            "experiment --table1",
-            {"cases": list(cases.BENCH_CASES), "T": total, "reps": reps, "seed": seed},
-            extras={
-                "mean_block_totals": {
-                    name: list(res.mean_block_totals) for name, res in results
-                }
-            },
-        )
-        click.echo(f"wrote {out}")
-        return
+        config = {"cases": list(cases.BENCH_CASES), "T": total}
+        extras["mean_block_totals"] = {name: list(res.mean_block_totals) for name, res in results}
+    else:
+        if system_ref is None:
+            raise click.UsageError(f"--{mode} requires --system")
+        assignment = _resolve_system(system_ref)
+        config = {"system": dump_system(assignment), "system_ref": system_ref}
+        if mode == "fixed-split":
+            points = run_fixed_split_experiment(assignment, total, reps, seed)
+            header, rows = fixed_split_rows(points)
+            config["T"] = total
+            extras["exact_conditional_variance"] = {
+                str(p.t1): p.exact_conditional_mean for p in points
+            }
+        else:
+            if sweep is None:
+                raise click.UsageError("--convergence requires --sweep START:STOP:STEP")
+            try:
+                start, stop, step = (int(part) for part in sweep.split(":"))
+            except ValueError:
+                raise click.UsageError(
+                    "--sweep must look like START:STOP:STEP, e.g. 100:10000:100"
+                )
+            if start < 1 or stop < start or step < 1:
+                raise click.UsageError("--sweep needs 1 <= START <= STOP and STEP >= 1")
+            budgets = range(start, stop + 1, step)
+            points = run_convergence_sweep(assignment, budgets, reps, seed)
+            header, rows = convergence_rows(points)
+            config["sweep"] = [start, stop, step]
+    config.update(reps=reps, seed=seed)
 
-    if system_ref is None:
-        raise click.UsageError(f"--{mode} requires --system")
-    assignment = _resolve_system(system_ref)
-
-    if mode == "fixed-split":
-        reps = TABLE_REPLICATIONS if reps is None else reps
-        total = 20 if total is None else total
-        config = ExperimentConfig(
-            assignment=assignment,
-            replications=reps,
-            master_seed=seed,
-            total=total,
-        )
-        points = run_fixed_split_experiment(config)
-        header, rows = fixed_split_rows(points)
-        _write_csv(out, header, rows)
-        _write_sidecar(
-            out,
-            "experiment --fixed-split",
-            {
-                "system": dump_system(assignment),
-                "system_ref": system_ref,
-                "T": total,
-                "reps": reps,
-                "seed": seed,
-            },
-            extras={
-                "exact_conditional_variance": {
-                    str(p.t1): p.exact_conditional_mean for p in points
-                }
-            },
-        )
-        click.echo(f"wrote {out}")
-        return
-
-    if sweep is None:
-        raise click.UsageError("--convergence requires --sweep START:STOP:STEP")
-    try:
-        start, stop, step = (int(part) for part in sweep.split(":"))
-    except ValueError:
-        raise click.UsageError("--sweep must look like START:STOP:STEP, e.g. 100:10000:100")
-    if start < 1 or stop < start or step < 1:
-        raise click.UsageError("--sweep needs 1 <= START <= STOP and STEP >= 1")
-    budgets = tuple(range(start, stop + 1, step))
-    reps = SWEEP_REPLICATIONS if reps is None else reps
-    config = ExperimentConfig(
-        assignment=assignment,
-        replications=reps,
-        master_seed=seed,
-        sweep=budgets,
-    )
-    points = run_convergence_sweep(config)
-    header, rows = convergence_rows(points)
-    _write_csv(out, header, rows)
-    _write_sidecar(
-        out,
-        "experiment --convergence",
-        {
-            "system": dump_system(assignment),
-            "system_ref": system_ref,
-            "sweep": [start, stop, step],
-            "reps": reps,
-            "seed": seed,
-        },
-    )
+    out = Path(out_path)
+    _write_outputs(out, header, rows, f"experiment --{mode}", config, extras)
     click.echo(f"wrote {out}")
 
 

@@ -1,6 +1,7 @@
 """Seeded Monte Carlo experiment harness.
 
-Three experiment drivers, all pure functions of (config, seed):
+Three experiment drivers, each a pure function of its arguments (system,
+budget or budgets, replication count, master seed):
 
   run_fixed_split_experiment  variance of the estimate as the two-block
                               budget split varies, the pilot floor apart
@@ -36,33 +37,16 @@ from .adaptive_sampling import (
     two_stage_subsystem,
 )
 from .system_model import ReliabilityAssignment
-from .variance_analysis import Allocation, lower_bound_system, system_variance
+from .variance_analysis import (
+    Allocation,
+    AllocationError,
+    lower_bound_system,
+    system_variance,
+)
 
-#: Default replication counts (overridable through ExperimentConfig).
+#: The CLI's default replication counts.
 TABLE_REPLICATIONS = 20_000
 SWEEP_REPLICATIONS = 5_000
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Inputs that fully determine an experiment's outputs."""
-
-    assignment: ReliabilityAssignment
-    replications: int
-    master_seed: int
-    total: int | None = None
-    sweep: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.replications < 2:
-            raise ValueError("need at least 2 replications for a sample variance")
-        if self.master_seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.sweep:
-            if any(t < 1 for t in self.sweep):
-                raise ValueError("sweep budgets must be positive")
-            if list(self.sweep) != sorted(self.sweep):
-                raise ValueError("sweep budgets must be ascending")
 
 
 @dataclass(frozen=True)
@@ -165,17 +149,18 @@ def _map_replications(
     ]
 
 
-def _hybrid_replications(config: ExperimentConfig, total: int, point_key: int):
+def _hybrid_replications(
+    assignment: ReliabilityAssignment, total: int, replications: int, master_seed: int,
+    point_key: int,
+):
     """All hybrid replications at one budget: (r_hats, block_totals)."""
-    topology = config.assignment.topology
+    topology = assignment.topology
 
     def design(source):
         result = hybrid_two_stage(source, topology, total)
         return result.reliability_estimate, result.allocation.block_totals
 
-    outcomes = _map_replications(
-        config.assignment, config.replications, config.master_seed, point_key, design
-    )
+    outcomes = _map_replications(assignment, replications, master_seed, point_key, design)
     r_hats = np.array([o[0] for o in outcomes])
     block_totals = [o[1] for o in outcomes]
     return r_hats, block_totals
@@ -193,9 +178,11 @@ def fixed_split_replications(
 
     The component-level two-stage design runs on the first block with
     budget ``t1`` and on the second with ``total - t1``; ``t1`` is the
-    point key. Two-block systems only.
+    point key. Two-block systems only, with ``t1`` in 1..total-1.
     """
     _require_two_blocks(assignment)
+    if not 0 < t1 < total:
+        raise AllocationError(f"T1 = {t1} must lie in 1..T-1 for T = {total}")
     topology = assignment.topology
 
     def design(source):
@@ -207,7 +194,9 @@ def fixed_split_replications(
     return _map_replications(assignment, replications, master_seed, t1, design)
 
 
-def run_fixed_split_experiment(config: ExperimentConfig) -> list[FixedSplitPoint]:
+def run_fixed_split_experiment(
+    assignment: ReliabilityAssignment, total: int, replications: int, master_seed: int
+) -> list[FixedSplitPoint]:
     """Variance of the estimate per first-block budget, two-block systems only.
 
     For each split (T1, T - T1) with T1 from the pilot floor up to the
@@ -215,17 +204,11 @@ def run_fixed_split_experiment(config: ExperimentConfig) -> list[FixedSplitPoint
     on each block. The exact variance conditioned on the realized
     allocations is reported alongside the Monte Carlo variance.
     """
-    assignment = config.assignment
     _require_two_blocks(assignment)
-    if config.total is None:
-        raise ValueError("config.total is required")
-    total = config.total
     low = pilot_size(total)
     points = []
     for t1 in range(low, total - low + 1):
-        outcomes = fixed_split_replications(
-            assignment, total, t1, config.replications, config.master_seed
-        )
+        outcomes = fixed_split_replications(assignment, total, t1, replications, master_seed)
         r_hats = np.array([o[0] for o in outcomes])
         var, se = empirical_variance(r_hats)
 
@@ -244,24 +227,23 @@ def run_fixed_split_experiment(config: ExperimentConfig) -> list[FixedSplitPoint
                 var_hat=var,
                 se=se,
                 mean_r_hat=float(r_hats.mean()),
-                exact_conditional_mean=acc / config.replications,
+                exact_conditional_mean=acc / replications,
             )
         )
     return points
 
 
-def run_hybrid_expectation(config: ExperimentConfig) -> HybridExpectation:
+def run_hybrid_expectation(
+    assignment: ReliabilityAssignment, total: int, replications: int, master_seed: int
+) -> HybridExpectation:
     """Mean realized block budgets (and estimator statistics) under the hybrid design."""
-    if config.total is None:
-        raise ValueError("config.total is required")
-    total = config.total
-    r_hats, block_totals = _hybrid_replications(config, total, point_key=0)
+    r_hats, block_totals = _hybrid_replications(assignment, total, replications, master_seed, 0)
     var, se = empirical_variance(r_hats)
     totals = np.array(block_totals, dtype=float)
     mean_totals = tuple(float(v) for v in totals.mean(axis=0))
     return HybridExpectation(
         total=total,
-        replications=config.replications,
+        replications=replications,
         mean_block_totals=mean_totals,
         mean_t1=mean_totals[0],
         rounded_t1=round(mean_totals[0]),
@@ -271,15 +253,15 @@ def run_hybrid_expectation(config: ExperimentConfig) -> HybridExpectation:
     )
 
 
-def run_convergence_sweep(config: ExperimentConfig) -> list[SweepPoint]:
-    """Optimality gap T * (Var - Q) at each budget of the sweep."""
-    if not config.sweep:
-        raise ValueError("config.sweep is required")
+def run_convergence_sweep(
+    assignment: ReliabilityAssignment, budgets, replications: int, master_seed: int
+) -> list[SweepPoint]:
+    """Optimality gap T * (Var - Q) at each budget; a budget is its own point key."""
     points = []
-    for total in config.sweep:
-        r_hats, _ = _hybrid_replications(config, total, point_key=total)
+    for total in budgets:
+        r_hats, _ = _hybrid_replications(assignment, total, replications, master_seed, total)
         var, se = empirical_variance(r_hats)
-        q = lower_bound_system(config.assignment, total)
+        q = lower_bound_system(assignment, total)
         points.append(
             SweepPoint(
                 total=total,

@@ -202,6 +202,30 @@ def dual_reliability(system: DualSystem) -> float:
     return 1.0 - system_reliability(system.assignment.complement())
 
 
+def parse_blocks(payload, what: str, kinds: tuple) -> list:
+    """The "blocks" of a {"blocks": [[...], ...]} mapping, shape- and type-checked.
+
+    It must be a non-empty list of non-empty lists whose entries are
+    instances of ``kinds``; bools are rejected although Python counts them
+    as ints. ``what`` names the payload in error messages.
+    """
+    if not isinstance(payload, dict) or "blocks" not in payload:
+        raise SystemSpecError(f'{what} must be an object with a "blocks" key')
+    blocks = payload["blocks"]
+    if not isinstance(blocks, list) or not blocks or not all(
+        isinstance(block, list) and block for block in blocks
+    ):
+        raise SystemSpecError(
+            f'"blocks" of the {what} must be a non-empty list of non-empty lists'
+        )
+    for block in blocks:
+        for v in block:
+            if not isinstance(v, kinds) or isinstance(v, bool):
+                names = " or ".join(k.__name__ for k in kinds)
+                raise SystemSpecError(f"{what} entries must be of type {names}, got {v!r}")
+    return blocks
+
+
 def parse_system(payload) -> ReliabilityAssignment:
     """Parse the canonical system mapping: {"blocks": [[...], ...]}.
 
@@ -210,35 +234,28 @@ def parse_system(payload) -> ReliabilityAssignment:
     reliability 1 - prod(1 - p) rounds to 0 is rejected: the block weight
     of the allocation rules divides by it.
     """
-    if not isinstance(payload, dict) or "blocks" not in payload:
-        raise SystemSpecError('system description must be an object with a "blocks" key')
-    blocks = payload["blocks"]
-    if not isinstance(blocks, list) or not blocks:
-        raise SystemSpecError('"blocks" must be a non-empty list of lists')
-    for block in blocks:
-        if not isinstance(block, list) or not block:
-            raise SystemSpecError("every block must be a non-empty list of reliabilities")
-        for v in block:
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise SystemSpecError(f"reliability entries must be numbers, got {v!r}")
-    assignment = ReliabilityAssignment.from_blocks(blocks)
+    assignment = ReliabilityAssignment.from_blocks(
+        parse_blocks(payload, "system description", (int, float))
+    )
     for j, block in enumerate(assignment.values):
         if 1.0 - _failure(block) == 0.0:
             raise SystemSpecError(f"subsystem {j + 1} has a reliability that rounds to 0")
     return assignment
 
 
+def read_json(path, what: str):
+    """Decoded JSON of a file; unreadable or invalid files raise SystemSpecError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise SystemSpecError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SystemSpecError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def load_system(path) -> ReliabilityAssignment:
     """Load a system JSON file. Raises SystemSpecError on any defect."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise SystemSpecError(f"cannot read system file {path}: {exc}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SystemSpecError(f"system file {path} is not valid JSON: {exc}") from exc
-    return parse_system(payload)
+    return parse_system(read_json(path, "system file"))
 
 
 def dump_system(assignment: ReliabilityAssignment) -> dict:

@@ -193,29 +193,10 @@ def lower_bound_system(assignment: ReliabilityAssignment, total: float) -> float
     return r * r * weight * weight / total
 
 
-def excess_variance(
-    assignment: ReliabilityAssignment,
-    allocation_or_variance: Allocation | float,
-    total: float | None = None,
-) -> float:
-    """Optimality gap T * (Var - Q), from an exact or Monte Carlo variance.
-
-    Pass an Allocation to use its exact variance (the budget is then taken
-    from the allocation itself), or a plain variance value together with
-    the budget it was measured at.
-    """
-    if isinstance(allocation_or_variance, Allocation):
-        variance = system_variance(assignment, allocation_or_variance)
-        alloc_total = allocation_or_variance.total
-        if total is not None and total != alloc_total:
-            raise AllocationError(
-                f"stated budget {total} does not match allocation total {alloc_total}"
-            )
-        total = alloc_total
-    else:
-        variance = float(allocation_or_variance)
-        if variance < 0:
-            raise ValueError(f"variance must be nonnegative, got {variance}")
-        if total is None:
-            raise ValueError("a budget is required when passing a bare variance")
+def excess_variance(assignment: ReliabilityAssignment, variance: float, total: float) -> float:
+    """Optimality gap T * (Var - Q) of an exact or Monte Carlo variance
+    measured at budget T."""
+    variance = float(variance)
+    if variance < 0:
+        raise ValueError(f"variance must be nonnegative, got {variance}")
     return total * (variance - lower_bound_system(assignment, total))

@@ -33,7 +33,6 @@ from relialloc import (
 )
 from relialloc.cases import load_case
 from relialloc.cli import main as cli_main
-from relialloc.experiments import ExperimentConfig
 
 from conftest import random_allocation, random_assignment
 
@@ -67,13 +66,9 @@ def test_criterion_2_budget_table_reproduction():
     expected = {"A": 16, "B": 11, "C": 4, "D": 12}
     observed = {}
     for name, target in expected.items():
-        config = ExperimentConfig(
-            assignment=load_case(name),
-            replications=20_000,
-            master_seed=MASTER_SEED,
-            total=20,
-        )
-        observed[name] = run_hybrid_expectation(config).rounded_t1
+        observed[name] = run_hybrid_expectation(
+            load_case(name), 20, 20_000, MASTER_SEED
+        ).rounded_t1
     ok = all(abs(observed[k] - expected[k]) <= 2 for k in expected)
     report(
         "criterion 2 (mean first-block budget, cases A-D)",
@@ -87,13 +82,7 @@ def test_criterion_3_fixed_split_minimum_location():
     details = []
     ok = True
     for name, target in targets.items():
-        config = ExperimentConfig(
-            assignment=load_case(name),
-            replications=10_000,
-            master_seed=MASTER_SEED,
-            total=20,
-        )
-        points = run_fixed_split_experiment(config)
+        points = run_fixed_split_experiment(load_case(name), 20, 10_000, MASTER_SEED)
         best = min(points, key=lambda p: p.var_hat)
         details.append(f"case {name}: argmin T1={best.t1} (target {target})")
         ok = ok and abs(best.t1 - target) <= 2
@@ -101,13 +90,9 @@ def test_criterion_3_fixed_split_minimum_location():
 
 
 def test_criterion_4_convergence_of_the_hybrid_design():
-    config = ExperimentConfig(
-        assignment=load_case("chain_2_3_4_5"),
-        replications=5_000,
-        master_seed=MASTER_SEED,
-        sweep=(100, 6400),
+    small, large = run_convergence_sweep(
+        load_case("chain_2_3_4_5"), (100, 6400), 5_000, MASTER_SEED
     )
-    small, large = run_convergence_sweep(config)
     decreasing = large.excess < small.excess
     ratio = large.var_hat / large.q_bound
     lower = 1.0 - 3 * large.se / large.q_bound

@@ -19,7 +19,7 @@ from relialloc import (
     two_stage_subsystem,
 )
 from relialloc.adaptive_sampling import plan_block_targets
-from relialloc.variance_analysis import Allocation
+from relialloc.variance_analysis import Allocation, AllocationError
 
 from conftest import random_assignment
 
@@ -58,14 +58,11 @@ class TestMleCv:
 
 class TestBlockTargets:
     def test_three_to_one_estimates(self):
-        plan = plan_block_targets([3.0, 1.0], 20, [4, 4], 4)
-        assert plan.targets == (15, 5)
-        assert plan.budget == 20
-        assert plan.pilot == 4
+        assert plan_block_targets([3.0, 1.0], 20, [4, 4]) == (15, 5)
 
     def test_plan_validates(self):
-        with pytest.raises(ValueError):
-            plan_block_targets([1.0, 1.0], 4, [4, 4], 4)  # pilot * slots > budget
+        with pytest.raises(AllocationError):
+            plan_block_targets([1.0, 1.0], 4, [4, 4])  # floors exceed the budget
 
 
 def scripted_source(topology, per_slot):

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from relialloc import ExperimentConfig, run_fixed_split_experiment, run_hybrid_expectation
+from relialloc import run_fixed_split_experiment, run_hybrid_expectation
 from relialloc.cases import load_case
 from relialloc.cli import main
 
@@ -54,6 +54,21 @@ class TestEvaluate:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "subsystem 1" in result.output
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"blocks": 5}, {"blocks": [[10, None]]}, {"blocks": "x"},
+         {"blocks": [[2.7, 10]]}, {"blocks": [[True, 10]]}],
+        ids=["blocks-not-a-list", "null-count", "string-blocks", "float-count", "bool-count"],
+    )
+    def test_malformed_allocation_file_exits_2(self, runner, tmp_path, payload):
+        system = write_system(tmp_path, [[0.5, 0.5]])
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["evaluate", system, "--allocation", str(alloc)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "allocation file" in result.output
 
     def test_zero_count_allocation_exits_3(self, runner, tmp_path):
         system = write_system(tmp_path, [[0.5, 0.5]])
@@ -196,13 +211,11 @@ class TestSimulate:
         )
         assert result.exit_code == 0, result.output
         summary = json.loads(out.with_suffix(".meta.json").read_text())["summary"]
-        config = ExperimentConfig(
-            assignment=load_case("D"), replications=40, master_seed=6, total=20
-        )
         if scheme[0] == "fixed-split":
-            expected = next(p for p in run_fixed_split_experiment(config) if p.t1 == 9)
+            points = run_fixed_split_experiment(load_case("D"), 20, 40, 6)
+            expected = next(p for p in points if p.t1 == 9)
         else:
-            expected = run_hybrid_expectation(config)
+            expected = run_hybrid_expectation(load_case("D"), 20, 40, 6)
         assert summary["var_R_hat"] == expected.var_hat
         # The CLI sums R_hat in index order, numpy's mean pairwise: they may
         # differ in the last bit.
@@ -215,6 +228,16 @@ class TestSimulate:
              "--out", str(tmp_path / "x.csv")],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("t1", ["0", "20", "25"])
+    def test_split_outside_the_budget_exits_3(self, runner, tmp_path, t1):
+        result = runner.invoke(
+            main,
+            ["simulate", "case:A", "--T", "20", "--scheme", "fixed-split", "--T1", t1,
+             "--reps", "5", "--out", str(tmp_path / "x.csv")],
+        )
+        assert result.exit_code == 3
+        assert f"T1 = {t1} " in result.output and "T = 20" in result.output
 
     def test_infeasible_budget_exits_3(self, runner, tmp_path):
         result = runner.invoke(
@@ -236,16 +259,34 @@ class TestSimulate:
         assert result.exit_code == 5
 
 
+SIMULATE = ["simulate", "case:A", "--T", "20", "--reps", "5"]
+TABLE1 = ["experiment", "--table1", "--reps", "5"]
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, env",
     [
-        ["simulate", "case:A", "--T", "20", "--reps", "5"],
-        ["experiment", "--table1", "--reps", "5"],
+        (SIMULATE + ["--threads", "0"], {}),
+        (TABLE1 + ["--threads", "0"], {}),
+        (TABLE1 + ["--reps", "1"], {}),
+        (SIMULATE + ["--seed", "-1"], {}),
+        (TABLE1 + ["--seed", "-1"], {}),
+        (SIMULATE, {"RELIALLOC_SEED": "-1"}),
+        (TABLE1, {"RELIALLOC_SEED": "-1"}),
+    ],
+    ids=[
+        "simulate-threads-0",
+        "experiment-threads-0",
+        "experiment-reps-1",
+        "simulate-seed-negative",
+        "experiment-seed-negative",
+        "simulate-env-seed-negative",
+        "experiment-env-seed-negative",
     ],
 )
-def test_zero_threads_is_usage_error(runner, tmp_path, args):
+def test_malformed_flag_is_usage_error(runner, tmp_path, args, env):
     out = tmp_path / "x.csv"
-    result = runner.invoke(main, args + ["--out", str(out), "--threads", "0"])
+    result = runner.invoke(main, args + ["--out", str(out)], env=env)
     assert result.exit_code == 2
     assert not out.exists()
 

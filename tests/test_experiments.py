@@ -4,7 +4,7 @@ import pytest
 
 from relialloc import (
     Allocation,
-    ExperimentConfig,
+    AllocationError,
     ReliabilityAssignment,
     SimulatedSource,
     empirical_variance,
@@ -60,27 +60,18 @@ class TestFixedAllocationOracle:
 
 class TestFixedSplitExperiment:
     def test_deterministic_with_two_replications(self):
-        config = ExperimentConfig(
-            assignment=load_case("C"), replications=2, master_seed=5, total=20
-        )
-        first = run_fixed_split_experiment(config)
-        second = run_fixed_split_experiment(config)
+        first = run_fixed_split_experiment(load_case("C"), 20, 2, 5)
+        second = run_fixed_split_experiment(load_case("C"), 20, 2, 5)
         assert first == second
         assert [p.t1 for p in first] == list(range(4, 17))
 
     def test_split_budgets_are_exact(self):
-        config = ExperimentConfig(
-            assignment=load_case("D"), replications=5, master_seed=5, total=20
-        )
-        points = run_fixed_split_experiment(config)
+        points = run_fixed_split_experiment(load_case("D"), 20, 5, 5)
         assert all(p.t1 + p.t2 == 20 for p in points)
 
     def test_symmetric_system_gives_symmetric_curve(self):
         a = ReliabilityAssignment.from_blocks([[0.4, 0.6], [0.4, 0.6]])
-        config = ExperimentConfig(
-            assignment=a, replications=3000, master_seed=5, total=20
-        )
-        points = run_fixed_split_experiment(config)
+        points = run_fixed_split_experiment(a, 20, 3000, 5)
         by_t1 = {p.t1: p for p in points}
         for t1 in (4, 6, 8):
             left, right = by_t1[t1], by_t1[20 - t1]
@@ -89,17 +80,20 @@ class TestFixedSplitExperiment:
 
     def test_needs_two_blocks(self):
         a = ReliabilityAssignment.from_blocks([[0.5, 0.5]])
-        config = ExperimentConfig(assignment=a, replications=2, master_seed=5, total=20)
         with pytest.raises(ValueError):
-            run_fixed_split_experiment(config)
+            run_fixed_split_experiment(a, 20, 2, 5)
 
     def test_needs_two_blocks_even_with_an_empty_split_range(self):
         a = ReliabilityAssignment.from_blocks([[0.5], [0.5], [0.5]])
-        config = ExperimentConfig(assignment=a, replications=2, master_seed=5, total=1)
         with pytest.raises(ValueError, match="two subsystems"):
-            run_fixed_split_experiment(config)
+            run_fixed_split_experiment(a, 1, 2, 5)
         with pytest.raises(ValueError, match="two subsystems"):
             fixed_split_replications(a, 20, 10, 2, 5)
+
+    @pytest.mark.parametrize("t1", [0, 20, 25])
+    def test_split_outside_the_budget_names_t1_and_t(self, t1):
+        with pytest.raises(AllocationError, match=f"T1 = {t1} .* T = 20"):
+            fixed_split_replications(load_case("A"), 20, t1, 2, 5)
 
 
 class TestMapReplications:
@@ -122,10 +116,7 @@ class TestMapReplications:
 
 class TestHybridExpectation:
     def test_case_a_mean_near_published_value(self):
-        config = ExperimentConfig(
-            assignment=load_case("A"), replications=2000, master_seed=5, total=20
-        )
-        res = run_hybrid_expectation(config)
+        res = run_hybrid_expectation(load_case("A"), 20, 2000, 5)
         assert abs(res.rounded_t1 - 16) <= 2
         assert sum(res.mean_block_totals) == pytest.approx(20.0, abs=1e-9)
 
@@ -133,71 +124,59 @@ class TestHybridExpectation:
 class TestConvergenceSweep:
     def test_single_component_bound_is_tight(self):
         a = ReliabilityAssignment.from_blocks([[0.5]])
-        config = ExperimentConfig(
-            assignment=a, replications=4000, master_seed=5, sweep=(25, 100)
-        )
-        for p in run_convergence_sweep(config):
+        for p in run_convergence_sweep(a, (25, 100), 4000, 5):
             assert abs(p.excess) < p.total * 4 * p.se
 
     def test_var_respects_bound_up_to_noise(self):
-        config = ExperimentConfig(
-            assignment=load_case("chain_2_3_4_5"),
-            replications=400,
-            master_seed=5,
-            sweep=(100, 400),
-        )
-        for p in run_convergence_sweep(config):
+        for p in run_convergence_sweep(load_case("chain_2_3_4_5"), (100, 400), 400, 5):
             assert p.var_hat >= p.q_bound - 3 * p.se
             assert p.q_bound == pytest.approx(
                 lower_bound_system(load_case("chain_2_3_4_5"), p.total), rel=1e-12
             )
 
     def test_rerun_is_identical(self):
-        config = ExperimentConfig(
-            assignment=load_case("chain_2_3_4_5"),
-            replications=50,
-            master_seed=9,
-            sweep=(100, 200),
+        a = load_case("chain_2_3_4_5")
+        assert run_convergence_sweep(a, (100, 200), 50, 9) == run_convergence_sweep(
+            a, (100, 200), 50, 9
         )
-        assert run_convergence_sweep(config) == run_convergence_sweep(config)
+
+    def test_points_do_not_depend_on_sweep_order(self):
+        # A budget is its own point key, so a sweep need not ascend.
+        a = load_case("A")
+        ascending = run_convergence_sweep(a, (20, 40), 5, 3)
+        assert run_convergence_sweep(a, (40, 20), 5, 3) == ascending[::-1]
 
 
 class TestConfigValidation:
     def test_replications_floor(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(assignment=load_case("A"), replications=1, master_seed=0)
-
-    def test_sweep_must_ascend(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(
-                assignment=load_case("A"), replications=2, master_seed=0, sweep=(200, 100)
-            )
+        # A sample variance needs two replications; a stream key, a
+        # nonnegative seed. The drivers leave both checks to the code that
+        # needs them (empirical_variance, numpy's SeedSequence).
+        a = load_case("A")
+        for run in (
+            lambda reps, seed: run_hybrid_expectation(a, 20, reps, seed),
+            lambda reps, seed: run_fixed_split_experiment(a, 20, reps, seed),
+            lambda reps, seed: run_convergence_sweep(a, (20,), reps, seed),
+        ):
+            with pytest.raises(ValueError):
+                run(1, 0)
+            with pytest.raises(ValueError):
+                run(2, -1)
 
 
 class TestRowFormats:
     def test_fixed_split_columns(self):
-        config = ExperimentConfig(
-            assignment=load_case("C"), replications=2, master_seed=5, total=20
-        )
-        header, rows = fixed_split_rows(run_fixed_split_experiment(config))
+        header, rows = fixed_split_rows(run_fixed_split_experiment(load_case("C"), 20, 2, 5))
         assert header == ["T1", "var_hat", "se", "mean_R_hat"]
         assert len(rows) == 13
 
     def test_convergence_columns(self):
-        config = ExperimentConfig(
-            assignment=load_case("chain_2_3_4_5"),
-            replications=2,
-            master_seed=5,
-            sweep=(100,),
-        )
-        header, rows = convergence_rows(run_convergence_sweep(config))
+        points = run_convergence_sweep(load_case("chain_2_3_4_5"), (100,), 2, 5)
+        header, rows = convergence_rows(points)
         assert header == ["T", "var_hat", "se", "Q", "excess"]
         assert rows[0][0] == "100"
 
     def test_table_columns(self):
-        config = ExperimentConfig(
-            assignment=load_case("A"), replications=2, master_seed=5, total=20
-        )
-        header, rows = table_rows([("A", run_hybrid_expectation(config))])
+        header, rows = table_rows([("A", run_hybrid_expectation(load_case("A"), 20, 2, 5))])
         assert header == ["case", "mean_T1", "rounded_T1"]
         assert rows[0][0] == "A"

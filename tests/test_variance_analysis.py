@@ -229,22 +229,18 @@ class TestExcessVariance:
 
     def test_balanced_two_by_two(self):
         a, alloc = make([[0.5, 0.5], [0.5, 0.5]], [[10, 10], [10, 10]])
-        assert excess_variance(a, alloc) == pytest.approx(0.035015625, abs=1e-12)
+        var = system_variance(a, alloc)
+        assert excess_variance(a, var, alloc.total) == pytest.approx(0.035015625, abs=1e-12)
 
     def test_nonnegative_for_exact_variances(self, rng):
         for _ in range(100):
             a = random_assignment(rng)
             alloc = random_allocation(rng, a)
-            assert excess_variance(a, alloc) >= -1e-12
-
-    def test_budget_mismatch_rejected(self):
-        a, alloc = make([[0.5, 0.5]], [[10, 10]])
-        with pytest.raises(AllocationError):
-            excess_variance(a, alloc, total=21)
+            assert excess_variance(a, system_variance(a, alloc), alloc.total) >= -1e-12
 
     def test_bare_variance_needs_budget(self):
         a = ReliabilityAssignment.from_blocks([[0.5, 0.5]])
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             excess_variance(a, 0.01)
         with pytest.raises(ValueError):
             excess_variance(a, -0.01, 10)
