@@ -16,9 +16,19 @@ starved). All previously drawn units are pooled: they count toward every
 later floor, target, and estimate, which is what makes the grand total
 come out to exactly T.
 
+A block whose pooled draws already fill its budget after the pilot has
+only one allocation its floors allow, so the scheme returns there without
+estimating anything. That covers the hybrid scheme's whole first pass at
+small budgets and every second-pass block that gets only its floor L.
+
 A single replication is strictly sequential. Distinct replications own
 their ledgers and random streams, so each depends only on its own stream;
-the experiment drivers run them one after another in index order.
+the experiment drivers run them one after another in index order. Every
+replication of the hybrid and fixed-split schemes draws exactly T
+outcomes, so its source can take all T uniforms from the stream as one
+block up front and hand them out in call order (``SimulatedSource`` with
+``draws``); PCG64 returns the same doubles for ``random(a)`` followed by
+``random(b)`` as for ``random(a + b)``, so the outcomes do not change.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +51,7 @@ class BudgetError(AllocationError):
 
 
 class SourceExhaustedError(RuntimeError):
-    """A replay source ran out of recorded outcomes for a slot."""
+    """A source ran out of outcomes: a replay queue or a simulated block."""
 
 
 class BernoulliSource:
@@ -54,24 +65,75 @@ class BernoulliSource:
         return sum(self.draw(i, j) for _ in range(count))
 
 
+#: The list/array crossover, in uniforms per block. Blocks up to this
+#: length are held as a Python list and each request is counted by a list
+#: scan; longer blocks stay a numpy array and each request is counted by
+#: ``count_nonzero`` on a slice. A list costs about 0.06 us per uniform
+#: (``tolist`` plus the scan), a numpy count about 2 us per request, so
+#: the list wins while a block is short for the requests made on it.
+#: Measured per hybrid replication (Python 3.11.7, numpy 2.4.6), list
+#: against array: case A 81/87 us at T=20, 110/114 at T=400, 136/125 at
+#: T=800; the 14-slot chain 250/271 us at T=400, 220/212 at T=800,
+#: 505/265 at T=6400.
+LIST_BLOCK_MAX = 512
+
+
 class SimulatedSource(BernoulliSource):
     """Outcomes simulated from an assignment with a seeded random stream.
 
     One generator serves the whole replication; draws consume it in call
-    order, so a fixed (seed, replication) pair fixes every outcome.
+    order, so a fixed (seed, replication) pair fixes every outcome. Draw j
+    of the replication is a success when uniform j of the stream falls
+    below the slot's reliability.
+
+    With ``draws`` given, the source takes that many uniforms from the
+    stream at once and each request counts successes in the next ones; a
+    request past the end raises ``SourceExhaustedError`` and ``remaining``
+    tells how many are left unused. Without it, each request takes exactly
+    its own uniforms from the stream. Both see the same outcomes.
     """
 
-    def __init__(self, assignment: ReliabilityAssignment, rng: np.random.Generator):
+    def __init__(
+        self, assignment: ReliabilityAssignment, rng: np.random.Generator,
+        draws: int | None = None,
+    ):
         self.assignment = assignment
         self.rng = rng
+        self._per_call = draws is None
+        self._uniforms = () if draws is None else self._take(draws)
+        self._cursor = 0
+
+    def _take(self, count: int):
+        uniforms = self.rng.random(count)
+        return uniforms.tolist() if count <= LIST_BLOCK_MAX else uniforms
+
+    @property
+    def remaining(self) -> int:
+        """Uniforms of the block not yet handed out."""
+        return len(self._uniforms) - self._cursor
 
     def draw(self, i: int, j: int) -> int:
-        return int(self.rng.random() < self.assignment.values[j][i])
+        return self.draw_many(i, j, 1)
 
     def draw_many(self, i: int, j: int, count: int) -> int:
         if count <= 0:
             return 0
-        return int(np.count_nonzero(self.rng.random(count) < self.assignment.values[j][i]))
+        if self._per_call:
+            self._uniforms = self._take(count)
+            self._cursor = 0
+        start = self._cursor
+        end = start + count
+        uniforms = self._uniforms
+        if end > len(uniforms):
+            raise SourceExhaustedError(
+                f"{count} draws requested with {len(uniforms) - start} of the "
+                f"replication's {len(uniforms)} uniforms left"
+            )
+        self._cursor = end
+        p = self.assignment.values[j][i]
+        if type(uniforms) is list:
+            return len([u for u in uniforms[start:end] if u < p])
+        return int(np.count_nonzero(uniforms[start:end] < p))
 
 
 class ReplaySource(BernoulliSource):
@@ -123,24 +185,16 @@ class ReplaySource(BernoulliSource):
 
 
 class SampleLedger:
-    """Per-slot draw and success counts accumulated during a replication."""
+    """Per-slot draw and success counts accumulated during a replication.
+
+    ``draws[j][i]`` and ``successes[j][i]`` are plain lists; the designs
+    update them in place.
+    """
 
     def __init__(self, topology: SystemTopology):
         self.topology = topology
         self.draws = [[0] * size for size in topology.block_sizes]
         self.successes = [[0] * size for size in topology.block_sizes]
-
-    def record(self, i: int, j: int, draws: int, successes: int) -> None:
-        if draws < 0 or not 0 <= successes <= draws:
-            raise ValueError(f"bad ledger update: draws={draws} successes={successes}")
-        self.draws[j][i] += draws
-        self.successes[j][i] += successes
-
-    def block_draws(self, j: int) -> tuple[int, ...]:
-        return tuple(self.draws[j])
-
-    def block_total(self, j: int) -> int:
-        return sum(self.draws[j])
 
     def to_allocation(self) -> Allocation:
         return Allocation(self.topology, tuple(tuple(block) for block in self.draws))
@@ -151,9 +205,14 @@ class HybridResult:
     """Outcome of one hybrid replication."""
 
     ledger: SampleLedger
-    allocation: Allocation
     reliability_estimate: float
     block_budgets: tuple[int, ...]
+
+    @cached_property
+    def allocation(self) -> Allocation:
+        """The realized per-slot counts, built on first use: the experiment
+        drivers read only the estimate and the block budgets."""
+        return self.ledger.to_allocation()
 
 
 def pilot_size(total: int) -> int:
@@ -198,6 +257,21 @@ def plan_block_targets(cv_inverses, budget: int, floors) -> tuple[int, ...]:
     return integerize(component_fractions(cv_inverses), budget, floors)
 
 
+def _top_up(
+    source: BernoulliSource, j: int, draws: list[int], successes: list[int], targets
+) -> None:
+    """Draw every slot of block j that is below its target up to it, updating
+    the ledger's per-block lists in place."""
+    for i, target in enumerate(targets):
+        need = target - draws[i]
+        if need > 0:
+            got = source.draw_many(i, j, need)
+            if not 0 <= got <= need:
+                raise ValueError(f"source returned {got} successes in {need} draws")
+            draws[i] = target
+            successes[i] += got
+
+
 def two_stage_subsystem(
     source: BernoulliSource, j: int, budget: int, ledger: SampleLedger
 ) -> tuple[int, ...]:
@@ -209,7 +283,6 @@ def two_stage_subsystem(
     updated in place.
     """
     ledger.topology.check_subsystem(j)
-    # The ledger's own per-block lists: ``record`` updates them in place.
     draws = ledger.draws[j]
     successes = ledger.successes[j]
     spent = sum(draws)
@@ -220,19 +293,16 @@ def two_stage_subsystem(
     pilot = _block_pilot(budget, draws)
 
     # Stage 1: top every slot up to the pilot size.
-    for i, have in enumerate(draws):
-        need = pilot - have
-        if need > 0:
-            ledger.record(i, j, need, source.draw_many(i, j, need))
+    _top_up(source, j, draws, successes, [pilot] * len(draws))
+    # Draws that fill the budget are the only allocation their floors allow.
+    if sum(draws) == budget:
+        return tuple(draws)
 
     # Stage 2: allocate the rest by estimated inverse cv, then top up. The
     # pooled draws are the floors; integerize copies them before any top-up.
     cv_inverses = [mle_cv(d, s)[2] for d, s in zip(draws, successes)]
-    for i, target in enumerate(plan_block_targets(cv_inverses, budget, draws)):
-        need = target - draws[i]
-        if need > 0:
-            ledger.record(i, j, need, source.draw_many(i, j, need))
-    return ledger.block_draws(j)
+    _top_up(source, j, draws, successes, plan_block_targets(cv_inverses, budget, draws))
+    return tuple(draws)
 
 
 def hybrid_two_stage(
@@ -251,7 +321,7 @@ def hybrid_two_stage(
         raise BudgetError(
             f"budget {total} below {n} blocks x pilot {outer_pilot}"
         )
-    if any(outer_pilot < size for size in topology.block_sizes):
+    if outer_pilot < max(topology.block_sizes):
         raise BudgetError(
             f"block pilot {outer_pilot} cannot reach every component "
             f"(largest block has {max(topology.block_sizes)})"
@@ -280,7 +350,6 @@ def hybrid_two_stage(
 
     return HybridResult(
         ledger=ledger,
-        allocation=ledger.to_allocation(),
         reliability_estimate=estimate_reliability(ledger, topology),
         block_budgets=tuple(block_budgets),
     )

@@ -109,7 +109,7 @@ def integerize(
         floors = [int(f) for f in floor_per_slot]
         if len(floors) != k:
             raise AllocationError("one floor per slot required")
-    if any(f < 0 for f in floors):
+    if min(floors) < 0:
         raise AllocationError("floors must be nonnegative")
     total = int(total)
     if total < sum(floors):

@@ -24,6 +24,7 @@ import tempfile
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import __version__, cases
 from .adaptive_sampling import SourceExhaustedError, hybrid_two_stage
@@ -242,6 +243,8 @@ def simulate(system, total, scheme, t1, reps, seed, out_path, threads):
     """Replicate one sampling scheme; write per-replication records and a mean row."""
     if scheme == "fixed-split" and t1 is None:
         raise click.UsageError("--scheme fixed-split requires --T1")
+    if scheme != "fixed-split" and t1 is not None:
+        raise click.UsageError(f"--T1 applies to --scheme fixed-split only, not {scheme}")
     assignment = _resolve_system(system)
     topo = assignment.topology
 
@@ -252,7 +255,7 @@ def simulate(system, total, scheme, t1, reps, seed, out_path, threads):
             result = hybrid_two_stage(source, topo, total)
             return result.reliability_estimate, result.allocation.counts
 
-        records = _map_replications(assignment, reps, seed, 0, design)
+        records = _map_replications(assignment, reps, seed, 0, design, total)
     elif scheme == "fixed-split":
         records = fixed_split_replications(assignment, total, t1, reps, seed)
     else:
@@ -304,6 +307,15 @@ def simulate(system, total, scheme, t1, reps, seed, out_path, threads):
     click.echo(f"wrote {out} ({reps} replications), var(R_hat) = {_f6(var)}")
 
 
+#: Per experiment mode, the flags (and their parameter names) it does not
+#: read; giving one is a usage error rather than a silent no-op.
+_UNREAD_FLAGS = {
+    "table1": (("--system", "system_ref"), ("--sweep", "sweep")),
+    "fixed-split": (("--sweep", "sweep"),),
+    "convergence": (("--T", "total"),),
+}
+
+
 @main.command()
 @click.option("--fixed-split", "mode", flag_value="fixed-split",
               help="Variance versus first-block budget (two-block systems).")
@@ -313,7 +325,8 @@ def simulate(system, total, scheme, t1, reps, seed, out_path, threads):
               help="Optimality gap along a budget sweep.")
 @click.option("--system", "system_ref", type=str, default=None,
               help="System JSON path or case:NAME (fixed-split / convergence).")
-@click.option("--T", "total", type=int, default=20, help="Budget (default 20).")
+@click.option("--T", "total", type=int, default=20,
+              help="Budget (default 20; fixed-split / table1).")
 @click.option("--reps", type=click.IntRange(min=2), default=None,
               help=f"Replications, at least 2 (defaults: {TABLE_REPLICATIONS} "
                    f"fixed-split/table1, {SWEEP_REPLICATIONS} convergence).")
@@ -326,6 +339,13 @@ def experiment(mode, system_ref, total, reps, seed, sweep, out_path, threads):
     """Run one of the canned experiments and write its data file."""
     if mode is None:
         raise click.UsageError("pick one of --fixed-split, --table1, --convergence")
+    ctx = click.get_current_context()
+    unread = [
+        flag for flag, name in _UNREAD_FLAGS[mode]
+        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT
+    ]
+    if unread:
+        raise click.UsageError(f"--{mode} does not read {', '.join(unread)}")
     if reps is None:
         reps = SWEEP_REPLICATIONS if mode == "convergence" else TABLE_REPLICATIONS
 

@@ -14,9 +14,12 @@ Every Monte Carlo replication, here and in the CLI's ``simulate``, runs
 through one loop, ``_map_replications``, which owns the stream convention:
 replication k at a point draws from
 ``replication_rng(master seed, point key, k)``, so sweep points are
-independent and reruns reproduce results exactly. Replications run one
-after another on the calling thread, in index order, and aggregation walks
-them in that order to keep emitted numbers byte-stable. The replication
+independent and reruns reproduce results exactly. A replication of budget
+T draws exactly T outcomes, the first T uniforms of its stream in draw
+order; the loop takes them as one block and checks that all were used.
+Replications run one after another on the calling thread, in index order,
+and aggregation walks them in that order to keep emitted numbers
+byte-stable. The replication
 work is pure Python bound by the interpreter lock, so worker threads would
 only slow it down.
 """
@@ -87,9 +90,36 @@ class HybridExpectation:
     mean_r_hat: float
 
 
+_WORD = 0xFFFFFFFF
+
+
+def _seed_words(values) -> np.ndarray:
+    """Little-endian 32-bit words of each nonnegative integer, concatenated.
+
+    These are the words ``SeedSequence`` derives from a tuple of the same
+    integers, so both seed the same pool; handing it the array skips its
+    per-element coercion.
+    """
+    words = []
+    for value in values:
+        value = int(value)
+        if value < 0:
+            raise ValueError(f"stream key entries must be nonnegative, got {value}")
+        words.append(value & _WORD)
+        value >>= 32
+        while value:
+            words.append(value & _WORD)
+            value >>= 32
+    return np.array(words, dtype=np.uint32)
+
+
 def replication_rng(master_seed: int, point_key: int, replication: int) -> np.random.Generator:
-    """Independent stream for one replication of one experiment point."""
-    seq = np.random.SeedSequence((int(master_seed), int(point_key), int(replication)))
+    """Independent stream for one replication of one experiment point.
+
+    The same stream as ``Generator(PCG64(SeedSequence((master_seed,
+    point_key, replication))))``.
+    """
+    seq = np.random.SeedSequence(_seed_words((master_seed, point_key, replication)))
     return np.random.Generator(np.random.PCG64(seq))
 
 
@@ -133,20 +163,29 @@ def simulate_fixed_allocation(
 
 
 def _map_replications(
-    assignment: ReliabilityAssignment, replications: int, master_seed: int, point_key: int, design
+    assignment: ReliabilityAssignment, replications: int, master_seed: int, point_key: int,
+    design, draws: int,
 ) -> list:
     """``design(source)`` for replications 0, 1, ... in index order, on the calling thread.
 
     Replication k draws from ``SimulatedSource(assignment,
-    replication_rng(master_seed, point_key, k))``; no other code derives a
-    replication's stream. The name is private but stays as it is, because
+    replication_rng(master_seed, point_key, k), draws)``; no other code
+    derives a replication's stream. The source takes the replication's
+    ``draws`` uniforms as one block, and a replication that leaves any of
+    them unused is an error, so every design is checked to draw exactly
+    ``draws`` outcomes. The name is private but stays as it is, because
     the benchmark's tracer times this function by name for
     ``rep_concurrency``.
     """
-    return [
-        design(SimulatedSource(assignment, replication_rng(master_seed, point_key, k)))
-        for k in range(replications)
-    ]
+    results = []
+    for k in range(replications):
+        source = SimulatedSource(assignment, replication_rng(master_seed, point_key, k), draws)
+        results.append(design(source))
+        if source.remaining:
+            raise RuntimeError(
+                f"replication {k} left {source.remaining} of its {draws} draws unused"
+            )
+    return results
 
 
 def _hybrid_replications(
@@ -158,9 +197,11 @@ def _hybrid_replications(
 
     def design(source):
         result = hybrid_two_stage(source, topology, total)
-        return result.reliability_estimate, result.allocation.block_totals
+        return result.reliability_estimate, result.block_budgets
 
-    outcomes = _map_replications(assignment, replications, master_seed, point_key, design)
+    outcomes = _map_replications(
+        assignment, replications, master_seed, point_key, design, total
+    )
     r_hats = np.array([o[0] for o in outcomes])
     block_totals = [o[1] for o in outcomes]
     return r_hats, block_totals
@@ -191,7 +232,7 @@ def fixed_split_replications(
         two_stage_subsystem(source, 1, total - t1, ledger)
         return estimate_reliability(ledger, topology), tuple(tuple(b) for b in ledger.draws)
 
-    return _map_replications(assignment, replications, master_seed, t1, design)
+    return _map_replications(assignment, replications, master_seed, t1, design, total)
 
 
 def run_fixed_split_experiment(

@@ -18,7 +18,9 @@ from relialloc import (
     system_reliability,
     two_stage_subsystem,
 )
-from relialloc.adaptive_sampling import plan_block_targets
+from relialloc import adaptive_sampling
+from relialloc.adaptive_sampling import LIST_BLOCK_MAX, plan_block_targets
+from relialloc.cases import load_case
 from relialloc.variance_analysis import Allocation, AllocationError
 
 from conftest import random_assignment
@@ -81,13 +83,13 @@ class TestTwoStageSubsystem:
         counts = two_stage_subsystem(SimulatedSource(a, rng), 0, 20, ledger)
         assert sum(counts) == 20
         assert all(c >= 4 for c in counts)
-        assert ledger.block_total(0) == 20
+        assert sum(ledger.draws[0]) == 20
 
     def test_existing_draws_count_toward_budget(self):
         a = ReliabilityAssignment.from_blocks([[0.5, 0.5]])
         ledger = SampleLedger(a.topology)
-        ledger.record(0, 0, 6, 3)
-        ledger.record(1, 0, 2, 1)
+        ledger.draws[0][:] = [6, 2]
+        ledger.successes[0][:] = [3, 1]
         rng = replication_rng(3, 0, 1)
         counts = two_stage_subsystem(SimulatedSource(a, rng), 0, 20, ledger)
         assert sum(counts) == 20
@@ -96,7 +98,8 @@ class TestTwoStageSubsystem:
     def test_over_budget_ledger_rejected(self):
         a = ReliabilityAssignment.from_blocks([[0.5, 0.5]])
         ledger = SampleLedger(a.topology)
-        ledger.record(0, 0, 30, 10)
+        ledger.draws[0][0] = 30
+        ledger.successes[0][0] = 10
         with pytest.raises(BudgetError):
             two_stage_subsystem(SimulatedSource(a, replication_rng(0, 0, 0)), 0, 20, ledger)
 
@@ -118,6 +121,37 @@ class TestTwoStageSubsystem:
         source = scripted_source(a.topology, {(0, 0): [1, 0], (1, 0): [1]})
         with pytest.raises(SourceExhaustedError):
             two_stage_subsystem(source, 0, 16, SampleLedger(a.topology))
+
+    @pytest.fixture
+    def no_estimates(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("mle_cv called on a full block")
+
+        monkeypatch.setattr(adaptive_sampling, "mle_cv", refuse)
+
+    def test_full_ledger_returns_unchanged_without_estimates(self, rng, no_estimates):
+        # Draws that already fill the budget are the only allocation their
+        # floors allow: no draw, no estimate, and the plan agrees.
+        for _ in range(50):
+            a = random_assignment(rng, max_blocks=1, max_slots=5)
+            size = a.topology.block_sizes[0]
+            draws = [int(d) for d in rng.integers(1, 12, size=size)]
+            successes = [int(rng.integers(0, d + 1)) for d in draws]
+            ledger = SampleLedger(a.topology)
+            ledger.draws[0][:] = draws
+            ledger.successes[0][:] = successes
+            empty = ReplaySource(a.topology, [])  # any draw is SourceExhaustedError
+            assert two_stage_subsystem(empty, 0, sum(draws), ledger) == tuple(draws)
+            assert (ledger.draws, ledger.successes) == ([draws], [successes])
+            cv_inverses = [mle_cv(d, s)[2] for d, s in zip(draws, successes)]
+            assert plan_block_targets(cv_inverses, sum(draws), draws) == tuple(draws)
+
+    def test_pilot_that_fills_the_budget_skips_estimates(self, no_estimates):
+        a = ReliabilityAssignment.from_blocks([[0.5, 0.5]])
+        ledger = SampleLedger(a.topology)
+        source = SimulatedSource(a, replication_rng(3, 0, 0), 4)
+        assert two_stage_subsystem(source, 0, 4, ledger) == (2, 2)
+        assert source.remaining == 0
 
     def test_small_budget_caps_pilot(self):
         # five slots, budget 10: the sqrt pilot (3) would not fit; 2 does
@@ -203,13 +237,54 @@ class TestHybrid:
         assert deviations[0] > deviations[1] > deviations[2]
 
 
+def _recorded_calls(monkeypatch, name, total):
+    calls = []
+    draw_many = SimulatedSource.draw_many
+
+    def recording(self, i, j, count):
+        calls.append((i, j, count))
+        return draw_many(self, i, j, count)
+
+    monkeypatch.setattr(SimulatedSource, "draw_many", recording)
+    a = load_case(name)
+    result = hybrid_two_stage(
+        SimulatedSource(a, replication_rng(11, 0, 3), total), a.topology, total
+    )
+    return calls, result
+
+
+class TestDrawManyCallStructure:
+    """The (i, j, count) sequence of one seeded hybrid replication, drawn
+    from a one-block source. A benchmark that traces ``draw_many`` counts
+    these calls, so the design must keep making exactly them."""
+
+    def test_case_a_at_20(self, monkeypatch):
+        calls, result = _recorded_calls(monkeypatch, "A", 20)
+        assert calls == [
+            (0, 0, 2), (1, 0, 2), (0, 1, 2), (1, 1, 2), (0, 0, 2), (1, 0, 2), (0, 0, 4), (1, 0, 4),
+        ]
+        assert result.allocation.counts == ((8, 8), (2, 2))
+        assert result.reliability_estimate == 0.34375
+
+    def test_chain_at_400(self, monkeypatch):
+        calls, result = _recorded_calls(monkeypatch, "chain_2_3_4_5", 400)
+        assert calls == [
+            (0, 0, 4), (1, 0, 4), (0, 0, 10), (1, 0, 2),
+            (0, 1, 4), (1, 1, 4), (2, 1, 4), (1, 1, 3), (2, 1, 5),
+            (0, 2, 4), (1, 2, 4), (2, 2, 4), (3, 2, 4), (0, 2, 2), (1, 2, 1), (2, 2, 1),
+            (0, 3, 4), (1, 3, 4), (2, 3, 4), (3, 3, 4), (4, 3, 4),
+            (0, 0, 4), (1, 0, 12), (0, 0, 118), (1, 0, 186),
+        ]
+        assert result.block_budgets == (340, 20, 20, 20)
+        assert result.reliability_estimate == 0.4681545559400231
+
+
 class TestEstimateReliability:
     def make_ledger(self, blocks, draws, successes):
         a = ReliabilityAssignment.from_blocks(blocks)
         ledger = SampleLedger(a.topology)
-        for j, block in enumerate(draws):
-            for i, d in enumerate(block):
-                ledger.record(i, j, d, successes[j][i])
+        ledger.draws = [list(block) for block in draws]
+        ledger.successes = [list(block) for block in successes]
         return a, ledger
 
     def test_all_successes(self):
@@ -247,6 +322,43 @@ class TestSources:
         n = 20000
         assert src.draw_many(0, 0, n) / n == pytest.approx(0.3, abs=0.02)
         assert src.draw_many(1, 0, n) / n == pytest.approx(0.7, abs=0.02)
+
+    @pytest.mark.parametrize(
+        "total", [20, LIST_BLOCK_MAX, LIST_BLOCK_MAX + 1, 6400],
+        ids=["list-20", "list-max", "array-min", "array-6400"],
+    )
+    def test_block_counts_equal_per_call_counts(self, total):
+        # Random request sequences summing to the block, zero counts included.
+        a = ReliabilityAssignment.from_blocks([[0.2, 0.5, 0.9], [0.35], [0.6, 0.999]])
+        slots = [(i, j) for j, size in enumerate(a.topology.block_sizes) for i in range(size)]
+        plan_rng = np.random.default_rng(total)
+        for rep in range(20):
+            cuts = np.sort(plan_rng.integers(0, total + 1, size=int(plan_rng.integers(1, 40))))
+            counts = np.diff(np.concatenate(([0], cuts, [total]))).tolist()
+            picks = plan_rng.integers(0, len(slots), size=len(counts)).tolist()
+            block = SimulatedSource(a, replication_rng(5, total, rep), total)
+            per_call = SimulatedSource(a, replication_rng(5, total, rep))
+            got = [block.draw_many(*slots[s], c) for s, c in zip(picks, counts)]
+            assert got == [per_call.draw_many(*slots[s], c) for s, c in zip(picks, counts)]
+            assert block.remaining == 0
+
+    def test_block_counts_the_streams_uniforms_in_order(self):
+        a = ReliabilityAssignment.from_blocks([[0.3, 0.7]])
+        uniforms = replication_rng(4, 2, 9).random(30)
+        src = SimulatedSource(a, replication_rng(4, 2, 9), 30)
+        assert src.draw_many(0, 0, 10) == int(np.count_nonzero(uniforms[:10] < 0.3))
+        assert src.draw_many(1, 0, 20) == int(np.count_nonzero(uniforms[10:] < 0.7))
+
+    @pytest.mark.parametrize("total", [20, 6400], ids=["list", "array"])
+    def test_drawing_past_the_block_is_exhaustion(self, total):
+        a = ReliabilityAssignment.from_blocks([[0.3, 0.7]])
+        src = SimulatedSource(a, replication_rng(4, 0, 0), total)
+        src.draw_many(0, 0, total - 3)
+        with pytest.raises(SourceExhaustedError):
+            src.draw_many(1, 0, 4)
+        assert src.remaining == 3
+        src.draw_many(1, 0, 3)
+        assert src.remaining == 0
 
     def test_replay_csv_round_trip(self, tmp_path):
         a = ReliabilityAssignment.from_blocks([[0.5], [0.5]])

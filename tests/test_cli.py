@@ -291,6 +291,35 @@ def test_malformed_flag_is_usage_error(runner, tmp_path, args, env):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (SIMULATE + ["--T1", "8"], "--T1"),
+        (SIMULATE + ["--scheme", "balanced", "--T1", "8"], "--T1"),
+        (TABLE1 + ["--system", "case:A"], "--system"),
+        (TABLE1 + ["--sweep", "20:40:20"], "--sweep"),
+        (["experiment", "--convergence", "--system", "case:A", "--sweep", "20:40:20",
+          "--reps", "5", "--T", "20"], "--T"),
+        (["experiment", "--fixed-split", "--system", "case:C", "--reps", "5",
+          "--sweep", "20:40:20"], "--sweep"),
+    ],
+    ids=[
+        "simulate-hybrid-T1",
+        "simulate-balanced-T1",
+        "table1-system",
+        "table1-sweep",
+        "convergence-T-at-its-default",
+        "fixed-split-sweep",
+    ],
+)
+def test_flag_the_mode_does_not_read_is_usage_error(runner, tmp_path, args, flag):
+    out = tmp_path / "x.csv"
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert flag in result.output
+    assert not out.exists()
+
+
 class TestExperiment:
     def test_table_mode(self, runner, tmp_path):
         out = tmp_path / "table.csv"

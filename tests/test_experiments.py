@@ -1,5 +1,7 @@
+import itertools
 import threading
 
+import numpy as np
 import pytest
 
 from relialloc import (
@@ -108,10 +110,44 @@ class TestMapReplications:
             calls.append((threading.get_ident(), drawn))
             return drawn
 
-        results = _map_replications(a, replications, 11, 7, design)
+        # An empty block leaves the whole stream to the design.
+        results = _map_replications(a, replications, 11, 7, design, 0)
         expected = [replication_rng(11, 7, k).random(3).tolist() for k in range(replications)]
         assert calls == [(threading.get_ident(), drawn) for drawn in expected]
         assert results == expected
+
+
+    def test_a_design_that_leaves_draws_unused_fails(self):
+        a = load_case("A")
+        with pytest.raises(RuntimeError, match="left 5 of its 20 draws unused"):
+            _map_replications(a, 2, 11, 7, lambda source: source.draw_many(0, 0, 15), 20)
+
+    def test_a_design_that_uses_its_whole_block_passes(self):
+        a = load_case("A")
+        results = _map_replications(a, 2, 11, 7, lambda source: source.draw_many(0, 0, 20), 20)
+        expected = [
+            int(np.count_nonzero(replication_rng(11, 7, k).random(20) < a.values[0][0]))
+            for k in range(2)
+        ]
+        assert results == expected
+
+
+#: 32-bit word boundaries: one word, the largest one-word value, two words, three words.
+SEED_VALUES = (0, 1, 2**32 - 1, 2**32, 2**64 + 7)
+
+
+class TestReplicationRng:
+    def test_equals_tuple_seeding(self):
+        for key in itertools.product(SEED_VALUES, repeat=3):
+            reference = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+            assert np.array_equal(replication_rng(*key).random(8), reference.random(8)), key
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_negative_entry_is_value_error(self, position):
+        key = [3, 4, 5]
+        key[position] = -1
+        with pytest.raises(ValueError):
+            replication_rng(*key)
 
 
 class TestHybridExpectation:

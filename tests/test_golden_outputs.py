@@ -23,6 +23,12 @@ RUNS = {
         "simulate", "case:chain_2_3_4_5", "--T", "400", "--scheme", "hybrid",
         "--reps", "200", "--seed", "11",
     ],
+    # T=6400 puts each replication's uniforms on the numpy-array side of
+    # adaptive_sampling.LIST_BLOCK_MAX; every other run is on the list side.
+    "simulate-hybrid-6400": [
+        "simulate", "case:chain_2_3_4_5", "--T", "6400", "--scheme", "hybrid",
+        "--reps", "20", "--seed", "11",
+    ],
     "simulate-fixed-split": [
         "simulate", "case:B", "--T", "20", "--scheme", "fixed-split", "--T1", "8",
         "--reps", "200", "--seed", "11",
@@ -67,6 +73,10 @@ GOLDEN = {
     "simulate-hybrid": (
         "bfc520634155937480c2d98cfb3ee6617b2ace9ec758f0db36891f6f4dc4685f",
         "176db175b9ba7eff8f6015b37f35a0e8760fe1935d2ebe3ab5123f8e718fbd94",
+    ),
+    "simulate-hybrid-6400": (
+        "c7a0199a4979ee87ac1328ca9548a95ca009842c292eed6da8be205306bc7fb5",
+        "dc2fa4b5191f65a4fca6f3b318dd65b20932da5c068e893e3a3fbe709a0b1bd8",
     ),
 }
 
