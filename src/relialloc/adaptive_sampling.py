@@ -29,6 +29,15 @@ outcomes, so its source can take all T uniforms from the stream as one
 block up front and hand them out in call order (``SimulatedSource`` with
 ``draws``); PCG64 returns the same doubles for ``random(a)`` followed by
 ``random(b)`` as for ``random(a + b)``, so the outcomes do not change.
+
+The design's three decisions are cached pure functions of integer counts:
+the block pilot of (budget, pooled draws), the stage-2 targets of
+(budget, pooled draws, pooled successes), and the across-block budgets
+of (total, draws and successes of the whole ledger). Each keeps a bounded
+``functools.lru_cache``, so a repeated input skips its estimates and
+rounding; a cached answer equals a recomputed one, and the outputs never
+depend on what ran before. Every check on the ledger and the source runs
+on every call, and a raised error is never cached.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +85,16 @@ class BernoulliSource:
 #: T=800; the 14-slot chain 250/271 us at T=400, 220/212 at T=800,
 #: 505/265 at T=6400.
 LIST_BLOCK_MAX = 512
+
+#: The request-length crossover on a numpy block, in uniforms. A request
+#: up to this length is counted by a list scan of its slice's
+#: ``tolist()``; a longer one by ``count_nonzero``. The numpy count costs
+#: a flat 1.2-2.1 us per request whatever its length, the list scan about
+#: 0.45 us plus 0.05 us per uniform; the two met between 24 and 28
+#: uniforms (micro-benchmark of one slice of a 6400-uniform block, Python
+#: 3.11.7, numpy 2.4.6). On the 14-slot chain at T=6400, 68% of requests
+#: are 16 uniforms or fewer.
+SHORT_REQUEST_MAX = 24
 
 
 class SimulatedSource(BernoulliSource):
@@ -133,6 +152,8 @@ class SimulatedSource(BernoulliSource):
         p = self.assignment.values[j][i]
         if type(uniforms) is list:
             return len([u for u in uniforms[start:end] if u < p])
+        if count <= SHORT_REQUEST_MAX:
+            return len([u for u in uniforms[start:end].tolist() if u < p])
         return int(np.count_nonzero(uniforms[start:end] < p))
 
 
@@ -237,7 +258,21 @@ def mle_cv(draws: int, successes: int) -> tuple[float, float, float]:
     return r_hat, cv, math.sqrt(r_hat / (1.0 - r_hat))
 
 
-def _block_pilot(budget: int, existing: list[int]) -> int:
+#: Entries kept by each of the three decision caches. Distinct keys
+#: (pilot, stage-2 targets, across-block budgets) measured over seeded
+#: hybrid runs: cases A-D at T=20, 1000 replications each, 14 / 133 / 81
+#: against 16000 / 6260 / 4000 calls (20000 each: 14 / 134 / 81); the
+#: fixed-split sweeps of cases A and C at T=20, 10000 replications per
+#: split, 13 / 173; the 14-slot chain at T=6400, 1000 replications,
+#: 3101 / 3668 / 1000 against 8000 / 6376 / 1000 calls. All of these
+#: T=20 runs fit. On the chain the across-block key never repeats and the
+#: stage-2 key hits 42% unbounded (36% at this size), so the bound is
+#: there to cap memory: about 0.5 MB (tracemalloc) with all three full.
+DECISION_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=DECISION_CACHE_SIZE)
+def _block_pilot(budget: int, existing: tuple[int, ...]) -> int:
     """Largest workable pilot: sqrt rule capped by the budget per slot and
     by what the pooled draws already in the ledger leave room for."""
     pilot = max(1, min(pilot_size(budget), budget // len(existing)))
@@ -245,10 +280,41 @@ def _block_pilot(budget: int, existing: list[int]) -> int:
         if pilot == 1:
             raise BudgetError(
                 f"budget {budget} cannot top every slot up to one draw "
-                f"given existing draws {existing}"
+                f"given existing draws {list(existing)}"
             )
         pilot -= 1
     return pilot
+
+
+@lru_cache(maxsize=DECISION_CACHE_SIZE)
+def _block_targets(
+    budget: int, draws: tuple[int, ...], successes: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Stage-2 slot targets of a block from its pooled counts, which are
+    also the floors."""
+    cv_inverses = [mle_cv(d, s)[2] for d, s in zip(draws, successes)]
+    return plan_block_targets(cv_inverses, budget, draws)
+
+
+@lru_cache(maxsize=DECISION_CACHE_SIZE)
+def _block_budgets(
+    total: int, draws: tuple[tuple[int, ...], ...], successes: tuple[tuple[int, ...], ...]
+) -> tuple[int, ...]:
+    """Across-block budgets from the pooled counts of the whole ledger:
+    block weights from clamped estimates, rounded with the pilot
+    floor(sqrt(total)) as every block's floor."""
+    weights = []
+    for block_draws, block_successes in zip(draws, successes):
+        inv_sum = 0.0
+        failure = 1.0
+        for d, s in zip(block_draws, block_successes):
+            r_hat, _, cv_inv = mle_cv(d, s)
+            inv_sum += cv_inv
+            failure *= 1.0 - r_hat
+        weights.append(block_weight(1.0 - failure, inv_sum))
+    w_total = sum(weights)
+    fractions = [w / w_total for w in weights]
+    return integerize(fractions, total, pilot_size(total))
 
 
 def plan_block_targets(cv_inverses, budget: int, floors) -> tuple[int, ...]:
@@ -290,7 +356,7 @@ def two_stage_subsystem(
         raise BudgetError(
             f"subsystem {j + 1} already holds {spent} draws, over its budget {budget}"
         )
-    pilot = _block_pilot(budget, draws)
+    pilot = _block_pilot(budget, tuple(draws))
 
     # Stage 1: top every slot up to the pilot size.
     _top_up(source, j, draws, successes, [pilot] * len(draws))
@@ -299,9 +365,8 @@ def two_stage_subsystem(
         return tuple(draws)
 
     # Stage 2: allocate the rest by estimated inverse cv, then top up. The
-    # pooled draws are the floors; integerize copies them before any top-up.
-    cv_inverses = [mle_cv(d, s)[2] for d, s in zip(draws, successes)]
-    _top_up(source, j, draws, successes, plan_block_targets(cv_inverses, budget, draws))
+    # pooled draws are the floors.
+    _top_up(source, j, draws, successes, _block_targets(budget, tuple(draws), tuple(successes)))
     return tuple(draws)
 
 
@@ -331,27 +396,17 @@ def hybrid_two_stage(
     for j in range(n):
         two_stage_subsystem(source, j, outer_pilot, ledger)
 
-    # Across-block predictor from the pooled pilot counts (clamped means).
-    weights = []
-    for draws, successes in zip(ledger.draws, ledger.successes):
-        inv_sum = 0.0
-        failure = 1.0
-        for d, s in zip(draws, successes):
-            r_hat, _, cv_inv = mle_cv(d, s)
-            inv_sum += cv_inv
-            failure *= 1.0 - r_hat
-        weights.append(block_weight(1.0 - failure, inv_sum))
-    w_total = sum(weights)
-    fractions = [w / w_total for w in weights]
-    block_budgets = integerize(fractions, total, outer_pilot)
-
+    # Across-block rule from the pooled pilot counts (clamped estimates).
+    block_budgets = _block_budgets(
+        total, tuple(map(tuple, ledger.draws)), tuple(map(tuple, ledger.successes))
+    )
     for j in range(n):
         two_stage_subsystem(source, j, block_budgets[j], ledger)
 
     return HybridResult(
         ledger=ledger,
         reliability_estimate=estimate_reliability(ledger, topology),
-        block_budgets=tuple(block_budgets),
+        block_budgets=block_budgets,
     )
 
 

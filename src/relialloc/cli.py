@@ -17,10 +17,12 @@ Exit codes: 2 malformed input or usage, 3 infeasible budget/allocation,
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 import click
@@ -112,12 +114,14 @@ def _load_allocation(path, assignment: ReliabilityAssignment) -> Allocation:
     return Allocation(assignment.topology, tuple(tuple(b) for b in blocks))
 
 
-def _write_text_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    """Write the strings of ``chunks`` in order to a temporary file beside
+    ``path``, then rename it over ``path``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -128,13 +132,14 @@ def _write_text_atomic(path: Path, text: str) -> None:
 
 
 def _write_outputs(
-    out_path: Path, header: list[str], rows: list[list[str]], command: str, config: dict,
+    out_path: Path, header: list[str], rows: Iterable[list[str]], command: str, config: dict,
     extras: dict,
 ) -> None:
-    """The CSV, then its ``.meta.json`` provenance record. Thread count is an
-    execution detail, never configuration, so it is deliberately not recorded."""
-    lines = [",".join(header)] + [",".join(row) for row in rows]
-    _write_text_atomic(out_path, "\n".join(lines) + "\n")
+    """The CSV, streamed row by row from the iterable ``rows``, then its
+    ``.meta.json`` provenance record. Thread count is an execution detail,
+    never configuration, so it is deliberately not recorded."""
+    lines = (",".join(row) + "\n" for row in itertools.chain((header,), rows))
+    _write_atomic(out_path, lines)
     payload = {
         "artifact": "relialloc",
         "version": __version__,
@@ -143,8 +148,9 @@ def _write_outputs(
         "output": out_path.name,
         **extras,
     }
-    _write_text_atomic(
-        out_path.with_suffix(".meta.json"), json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    _write_atomic(
+        out_path.with_suffix(".meta.json"),
+        (json.dumps(payload, sort_keys=True, indent=2), "\n"),
     )
 
 
@@ -271,25 +277,28 @@ def simulate(system, total, scheme, t1, reps, seed, out_path, threads):
         for j in range(topo.subsystem_count)
         for i in range(topo.block_sizes[j])
     ]
-    rows = []
-    for rep, (r_hat, counts) in enumerate(records):
-        rows.append(
-            [str(rep), format_value(float(r_hat))]
-            + [str(sum(block)) for block in counts]
-            + [str(c) for block in counts for c in block]
-        )
+    # The mean row first, so the per-replication rows can stream to the file.
     k = len(records)
     mean_r = sum(r for r, _ in records) / k
-    mean_totals = [
-        sum(sum(counts[j]) for _, counts in records) / k for j in range(topo.subsystem_count)
+    slot_sums = [
+        [sum(counts[j][i] for _, counts in records) for i in range(size)]
+        for j, size in enumerate(topo.block_sizes)
     ]
-    flat_all = [[c for block in counts for c in block] for _, counts in records]
-    mean_flat = [sum(col) / k for col in zip(*flat_all)]
-    rows.append(
+    mean_row = (
         ["mean", format_value(mean_r)]
-        + [format_value(v) for v in mean_totals]
-        + [format_value(v) for v in mean_flat]
+        + [format_value(sum(block) / k) for block in slot_sums]
+        + [format_value(c / k) for block in slot_sums for c in block]
     )
+
+    def rows():
+        for rep, (r_hat, counts) in enumerate(records):
+            yield (
+                [str(rep), format_value(float(r_hat))]
+                + [str(sum(block)) for block in counts]
+                + [str(c) for block in counts for c in block]
+            )
+        yield mean_row
+
     var, se = empirical_variance([r for r, _ in records])
 
     out = Path(out_path)
@@ -303,7 +312,7 @@ def simulate(system, total, scheme, t1, reps, seed, out_path, threads):
         "seed": seed,
     }
     summary = {"mean_R_hat": mean_r, "var_R_hat": var, "se_var": se}
-    _write_outputs(out, header, rows, "simulate", config, {"summary": summary})
+    _write_outputs(out, header, rows(), "simulate", config, {"summary": summary})
     click.echo(f"wrote {out} ({reps} replications), var(R_hat) = {_f6(var)}")
 
 

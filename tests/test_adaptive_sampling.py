@@ -19,8 +19,14 @@ from relialloc import (
     two_stage_subsystem,
 )
 from relialloc import adaptive_sampling
-from relialloc.adaptive_sampling import LIST_BLOCK_MAX, plan_block_targets
+from relialloc.adaptive_sampling import (
+    DECISION_CACHE_SIZE,
+    LIST_BLOCK_MAX,
+    SHORT_REQUEST_MAX,
+    plan_block_targets,
+)
 from relialloc.cases import load_case
+from relialloc.experiments import fixed_split_replications
 from relialloc.variance_analysis import Allocation, AllocationError
 
 from conftest import random_assignment
@@ -65,6 +71,14 @@ class TestBlockTargets:
     def test_plan_validates(self):
         with pytest.raises(AllocationError):
             plan_block_targets([1.0, 1.0], 4, [4, 4])  # floors exceed the budget
+
+
+DECISIONS = ("_block_pilot", "_block_targets", "_block_budgets")
+
+
+def clear_decision_caches():
+    for name in DECISIONS:
+        getattr(adaptive_sampling, name).cache_clear()
 
 
 def scripted_source(topology, per_slot):
@@ -128,6 +142,7 @@ class TestTwoStageSubsystem:
             raise AssertionError("mle_cv called on a full block")
 
         monkeypatch.setattr(adaptive_sampling, "mle_cv", refuse)
+        clear_decision_caches()  # a cached answer would skip mle_cv
 
     def test_full_ledger_returns_unchanged_without_estimates(self, rng, no_estimates):
         # Draws that already fill the budget are the only allocation their
@@ -279,6 +294,100 @@ class TestDrawManyCallStructure:
         assert result.reliability_estimate == 0.4681545559400231
 
 
+def _hybrid_runs(name, total, reps):
+    """Estimate, ledger and block budgets of seeded hybrid replications."""
+    a = load_case(name)
+    runs = []
+    for k in range(reps):
+        source = SimulatedSource(a, replication_rng(13, total, k), total)
+        result = hybrid_two_stage(source, a.topology, total)
+        assert source.remaining == 0
+        ledger = result.ledger
+        runs.append(
+            (result.reliability_estimate, ledger.draws, ledger.successes, result.block_budgets)
+        )
+    return runs
+
+
+def _cache_hits():
+    return sum(getattr(adaptive_sampling, name).cache_info().hits for name in DECISIONS)
+
+
+def _cold_warm_uncached(monkeypatch, run):
+    clear_decision_caches()
+    cold = run()
+    hits = _cache_hits()
+    warm = run()
+    assert _cache_hits() > hits  # the rerun answered from the caches
+    with monkeypatch.context() as patch:
+        for name in DECISIONS:
+            patch.setattr(adaptive_sampling, name, getattr(adaptive_sampling, name).__wrapped__)
+        uncached = run()
+    return cold, warm, uncached
+
+
+class TestDecisionCaches:
+    """The design's decisions are cached pure functions: outputs never
+    depend on what the caches already hold."""
+
+    @pytest.mark.parametrize(
+        "name,total,reps",
+        [("A", 20, 40), ("B", 20, 40), ("C", 20, 40), ("D", 20, 40),
+         ("chain_2_3_4_5", 400, 15), ("chain_2_3_4_5", 6400, 6)],
+    )
+    def test_hybrid_replications_do_not_depend_on_the_caches(
+        self, monkeypatch, name, total, reps
+    ):
+        cold, warm, uncached = _cold_warm_uncached(
+            monkeypatch, lambda: _hybrid_runs(name, total, reps)
+        )
+        assert cold == warm == uncached
+
+    @pytest.mark.parametrize("t1", [4, 10, 16])
+    def test_fixed_split_replications_do_not_depend_on_the_caches(self, monkeypatch, t1):
+        cold, warm, uncached = _cold_warm_uncached(
+            monkeypatch, lambda: fixed_split_replications(load_case("A"), 20, t1, 30, 13)
+        )
+        assert cold == warm == uncached
+
+    def test_budget_error_is_raised_again_on_a_repeated_key(self):
+        # Three slots, budget 4, pooled draws (2, 2, 0): even a pilot of one
+        # draw per slot needs 5.
+        a = ReliabilityAssignment.from_blocks([[0.5, 0.5, 0.5]])
+        clear_decision_caches()
+        for _ in range(2):
+            ledger = SampleLedger(a.topology)
+            ledger.draws[0][:] = [2, 2, 0]
+            ledger.successes[0][:] = [1, 1, 0]
+            with pytest.raises(BudgetError):
+                two_stage_subsystem(ReplaySource(a.topology, []), 0, 4, ledger)
+        info = adaptive_sampling._block_pilot.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+
+    def test_targets_do_not_follow_later_ledger_changes(self):
+        a = ReliabilityAssignment.from_blocks([[0.3, 0.8]])
+        ledger = SampleLedger(a.topology)
+        ledger.draws[0][:] = [4, 4]
+        ledger.successes[0][:] = [1, 3]
+        key = (20, tuple(ledger.draws[0]), tuple(ledger.successes[0]))
+        expected = adaptive_sampling._block_targets.__wrapped__(*key)
+        clear_decision_caches()
+        targets = adaptive_sampling._block_targets(*key)
+        assert targets == expected
+        # The design tops the ledger up to these targets in place.
+        source = SimulatedSource(a, replication_rng(2, 0, 0), 12)
+        assert two_stage_subsystem(source, 0, 20, ledger) == expected
+        ledger.draws[0][0] += 5
+        assert targets == expected
+        assert adaptive_sampling._block_targets(*key) == expected
+
+    def test_every_cache_is_bounded(self):
+        for name in DECISIONS:
+            maxsize = getattr(adaptive_sampling, name).cache_info().maxsize
+            assert maxsize == DECISION_CACHE_SIZE
+        assert 0 < DECISION_CACHE_SIZE < float("inf")
+
+
 class TestEstimateReliability:
     def make_ledger(self, blocks, draws, successes):
         a = ReliabilityAssignment.from_blocks(blocks)
@@ -341,6 +450,25 @@ class TestSources:
             got = [block.draw_many(*slots[s], c) for s, c in zip(picks, counts)]
             assert got == [per_call.draw_many(*slots[s], c) for s, c in zip(picks, counts)]
             assert block.remaining == 0
+
+    @pytest.mark.parametrize(
+        "count", [1, SHORT_REQUEST_MAX, SHORT_REQUEST_MAX + 1, 4 * SHORT_REQUEST_MAX]
+    )
+    def test_array_block_counts_short_and_long_requests_alike(self, count):
+        # Requests on either side of the crossover take the list scan or the
+        # numpy count; both must count the same uniforms the same way.
+        a = ReliabilityAssignment.from_blocks([[0.2, 0.5, 0.9], [0.999]])
+        slots = [(0, 0), (1, 0), (2, 0), (0, 1)]
+        total = 6400
+        assert total > LIST_BLOCK_MAX
+        uniforms = replication_rng(6, count, 0).random(total)
+        src = SimulatedSource(a, replication_rng(6, count, 0), total)
+        for k, start in enumerate(range(0, total, count)):
+            i, j = slots[k % len(slots)]
+            n = min(count, total - start)
+            expected = int(np.count_nonzero(uniforms[start:start + n] < a.values[j][i]))
+            assert src.draw_many(i, j, n) == expected
+        assert src.remaining == 0
 
     def test_block_counts_the_streams_uniforms_in_order(self):
         a = ReliabilityAssignment.from_blocks([[0.3, 0.7]])
