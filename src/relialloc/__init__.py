@@ -48,13 +48,10 @@ from .experiments import (
     simulate_fixed_allocation,
 )
 from .system_model import (
-    DualSystem,
     ReliabilityAssignment,
     SystemSpecError,
     SystemTopology,
     coeff_variation,
-    dual_reliability,
-    dual_transform,
     load_system,
     parse_system,
     subsystem_reliability,
@@ -63,7 +60,6 @@ from .system_model import (
 from .variance_analysis import (
     Allocation,
     AllocationError,
-    cross_term_sum,
     excess_variance,
     lagrange_decomposition,
     lower_bound_subsystem,
@@ -79,7 +75,6 @@ __all__ = [
     "AllocationRulePlan",
     "BernoulliSource",
     "BudgetError",
-    "DualSystem",
     "FixedSplitPoint",
     "HybridExpectation",
     "HybridResult",
@@ -97,9 +92,6 @@ __all__ = [
     "brute_force_optimal",
     "coeff_variation",
     "component_fractions",
-    "cross_term_sum",
-    "dual_reliability",
-    "dual_transform",
     "empirical_variance",
     "estimate_reliability",
     "excess_variance",

@@ -21,6 +21,11 @@ only one allocation its floors allow, so the scheme returns there without
 estimating anything. That covers the hybrid scheme's whole first pass at
 small budgets and every second-pass block that gets only its floor L.
 
+The designs see outcomes through one method, ``draw_many(i, j, count)``:
+the number of successes in the next ``count`` outcomes of slot (i, j).
+``SimulatedSource`` simulates them from a seeded stream, ``ReplaySource``
+counts them off recorded queues.
+
 A single replication is strictly sequential. Distinct replications own
 their ledgers and random streams, so each depends only on its own stream;
 the experiment drivers run them one after another in index order. Every
@@ -66,12 +71,10 @@ class SourceExhaustedError(RuntimeError):
 class BernoulliSource:
     """Stream of binary outcomes per component slot (i, j)."""
 
-    def draw(self, i: int, j: int) -> int:
-        raise NotImplementedError
-
     def draw_many(self, i: int, j: int, count: int) -> int:
-        """Number of successes in ``count`` consecutive draws from slot (i, j)."""
-        return sum(self.draw(i, j) for _ in range(count))
+        """Number of successes in ``count`` consecutive draws from slot (i, j);
+        0 for ``count <= 0``."""
+        raise NotImplementedError
 
 
 #: The list/array crossover, in uniforms per block. Blocks up to this
@@ -131,9 +134,6 @@ class SimulatedSource(BernoulliSource):
         """Uniforms of the block not yet handed out."""
         return len(self._uniforms) - self._cursor
 
-    def draw(self, i: int, j: int) -> int:
-        return self.draw_many(i, j, 1)
-
     def draw_many(self, i: int, j: int, count: int) -> int:
         if count <= 0:
             return 0
@@ -161,7 +161,8 @@ class ReplaySource(BernoulliSource):
     """Outcomes replayed from recorded sequences, one queue per slot.
 
     Exhausting a queue is a hard error: a recording that cannot cover the
-    requested design is a defect, not a boundary condition.
+    requested design is a defect, not a boundary condition. A request
+    longer than what is left raises before consuming anything.
     """
 
     def __init__(self, topology: SystemTopology, outcomes):
@@ -193,16 +194,19 @@ class ReplaySource(BernoulliSource):
                 )
         return cls(topology, outcomes)
 
-    def draw(self, i: int, j: int) -> int:
-        pos = self._cursor[j][i]
+    def draw_many(self, i: int, j: int, count: int) -> int:
+        if count <= 0:
+            return 0
         queue = self._queues[j][i]
-        if pos >= len(queue):
+        start = self._cursor[j][i]
+        end = start + count
+        if end > len(queue):
             raise SourceExhaustedError(
-                f"replay exhausted for component {i + 1} of subsystem {j + 1} "
-                f"after {len(queue)} outcomes"
+                f"replay exhausted for component {i + 1} of subsystem {j + 1}: "
+                f"{count} outcomes requested, {len(queue) - start} left"
             )
-        self._cursor[j][i] = pos + 1
-        return queue[pos]
+        self._cursor[j][i] = end
+        return sum(queue[start:end])
 
 
 class SampleLedger:

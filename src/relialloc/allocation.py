@@ -89,6 +89,28 @@ def rule_plan(assignment: ReliabilityAssignment) -> AllocationRulePlan:
     return AllocationRulePlan(comp, _normalized(_weights(blocks)))
 
 
+def _checked_floors(
+    k: int, floor_per_slot: int | Sequence[int], total: int
+) -> tuple[list[int], int]:
+    """The per-slot floors of a k-slot rounding, one per slot from a scalar
+    or a sequence, checked to be nonnegative and covered by the budget;
+    returned with the budget as an int."""
+    if k < 1:
+        raise AllocationError("need at least one slot")
+    if isinstance(floor_per_slot, int):
+        floors = [floor_per_slot] * k
+    else:
+        floors = [int(f) for f in floor_per_slot]
+    if len(floors) != k or min(floors) < 0:
+        raise AllocationError("need one nonnegative floor per slot")
+    total = int(total)
+    if total < sum(floors):
+        raise AllocationError(
+            f"budget {total} cannot cover per-slot floors summing to {sum(floors)}"
+        )
+    return floors, total
+
+
 def integerize(
     fractions: Sequence[float], total: int, floor_per_slot: int | Sequence[int] = 0
 ) -> tuple[int, ...]:
@@ -101,21 +123,7 @@ def integerize(
     Floors may be a scalar or one value per slot.
     """
     k = len(fractions)
-    if k < 1:
-        raise AllocationError("need at least one slot")
-    if isinstance(floor_per_slot, int):
-        floors = [floor_per_slot] * k
-    else:
-        floors = [int(f) for f in floor_per_slot]
-        if len(floors) != k:
-            raise AllocationError("one floor per slot required")
-    if min(floors) < 0:
-        raise AllocationError("floors must be nonnegative")
-    total = int(total)
-    if total < sum(floors):
-        raise AllocationError(
-            f"budget {total} cannot cover per-slot floors summing to {sum(floors)}"
-        )
+    floors, total = _checked_floors(k, floor_per_slot, total)
     counts = [max(floors[i], math.floor(fractions[i] * total)) for i in range(k - 1)]
     last = total - sum(counts)
     while last < floors[-1]:
@@ -143,16 +151,7 @@ def apportion(
     Ties and over-allocation repair resolve toward the lowest index.
     """
     k = len(fractions)
-    if k < 1:
-        raise AllocationError("need at least one slot")
-    floors = [floor_per_slot] * k if isinstance(floor_per_slot, int) else [int(f) for f in floor_per_slot]
-    if len(floors) != k or any(f < 0 for f in floors):
-        raise AllocationError("need one nonnegative floor per slot")
-    total = int(total)
-    if total < sum(floors):
-        raise AllocationError(
-            f"budget {total} cannot cover per-slot floors summing to {sum(floors)}"
-        )
+    floors, total = _checked_floors(k, floor_per_slot, total)
     scaled = [float(f) * total for f in fractions]
     counts = [max(fl, math.floor(s)) for fl, s in zip(floors, scaled)]
     short = total - sum(counts)

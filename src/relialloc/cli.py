@@ -193,14 +193,15 @@ def evaluate(system, allocation_path):
 
 @main.command()
 @click.argument("system", type=str)
-@click.option("--T", "total", type=int, required=True, help="Total observation budget.")
+@click.option("--T", "total", type=click.IntRange(min=1), required=True,
+              help="Total observation budget (at least 1).")
 @click.option("--rule", "mode", flag_value="rule", default=True,
               help="Closed-form fractions, integerized (default).")
 @click.option("--oracle", "mode", flag_value="oracle",
               help="Certified optimum by exhaustive enumeration.")
 @click.option("--balanced", "mode", flag_value="balanced", help="Equal counts per slot.")
-@click.option("--min-per-slot", type=int, default=1, show_default=True,
-              help="Oracle: minimum observations per component.")
+@click.option("--min-per-slot", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Oracle: minimum observations per component (at least 1).")
 @_guarded
 def allocate(system, total, mode, min_per_slot):
     """Compute an integer allocation of the budget and its exact variance."""
@@ -234,7 +235,8 @@ _THREADS = click.option(
 
 @main.command()
 @click.argument("system", type=str)
-@click.option("--T", "total", type=int, required=True, help="Total observation budget.")
+@click.option("--T", "total", type=click.IntRange(min=1), required=True,
+              help="Total observation budget (at least 1).")
 @click.option("--scheme", type=click.Choice(["hybrid", "balanced", "fixed-split"]),
               default="hybrid", show_default=True)
 @click.option("--T1", "t1", type=int, default=None,
@@ -334,8 +336,8 @@ _UNREAD_FLAGS = {
               help="Optimality gap along a budget sweep.")
 @click.option("--system", "system_ref", type=str, default=None,
               help="System JSON path or case:NAME (fixed-split / convergence).")
-@click.option("--T", "total", type=int, default=20,
-              help="Budget (default 20; fixed-split / table1).")
+@click.option("--T", "total", type=click.IntRange(min=1), default=20,
+              help="Budget, at least 1 (default 20; fixed-split / table1).")
 @click.option("--reps", type=click.IntRange(min=2), default=None,
               help=f"Replications, at least 2 (defaults: {TABLE_REPLICATIONS} "
                    f"fixed-split/table1, {SWEEP_REPLICATIONS} convergence).")

@@ -7,6 +7,11 @@ one of its components works; the system works if every block works.
 Component slots are addressed as (i, j): component i within block j,
 stored block-major. All other modules share this layout.
 
+A series-parallel system (a parallel combination of series blocks) is
+handled by duality, with no second evaluation path: it works exactly when
+the parallel-series system of the complemented components fails, so its
+reliability is ``1 - system_reliability(a.complement())``.
+
 ``block_constants`` is the one place that derives the per-block constants
 of the exact engine and the allocation rules (R_j, u_ij = p/(1-p), 1/c_ij
 and their sum), and ``block_weight`` the block weight of the across-block
@@ -20,10 +25,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-PARALLEL_SERIES = "parallel-series"
-SERIES_PARALLEL = "series-parallel"
-
 
 class SystemSpecError(ValueError):
     """Malformed system description: bad shape, bad probability, bad file."""
@@ -96,27 +97,11 @@ class ReliabilityAssignment:
         return self.values[j]
 
     def complement(self) -> "ReliabilityAssignment":
-        """Componentwise 1 - R, same topology."""
+        """Componentwise 1 - R, same topology: the duality step that
+        evaluates a series-parallel system (see the module docstring)."""
         return ReliabilityAssignment(
             self.topology, tuple(tuple(1.0 - v for v in block) for block in self.values)
         )
-
-
-@dataclass(frozen=True)
-class DualSystem:
-    """An assignment tagged with its arrangement kind.
-
-    parallel-series: series chain of parallel blocks (the native engine).
-    series-parallel: parallel combination of series blocks (evaluated by
-    duality; there is deliberately no second evaluation path).
-    """
-
-    assignment: ReliabilityAssignment
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (PARALLEL_SERIES, SERIES_PARALLEL):
-            raise SystemSpecError(f"unknown system kind: {self.kind!r}")
 
 
 def _failure(block) -> float:
@@ -180,26 +165,6 @@ def block_weight(reliability: float, inv_sum: float) -> float:
     Raises ZeroDivisionError for a block whose reliability rounds to 0.
     """
     return (1.0 - reliability) / reliability * inv_sum
-
-
-def dual_transform(system: DualSystem) -> DualSystem:
-    """Swap the arrangement kind and complement every reliability.
-
-    An involution: applying it twice restores the original system.
-    """
-    kind = SERIES_PARALLEL if system.kind == PARALLEL_SERIES else PARALLEL_SERIES
-    return DualSystem(system.assignment.complement(), kind)
-
-
-def dual_reliability(system: DualSystem) -> float:
-    """Reliability of either arrangement kind, via the parallel-series engine.
-
-    For a series-parallel system the value is 1 minus the parallel-series
-    reliability of the complemented assignment.
-    """
-    if system.kind == PARALLEL_SERIES:
-        return system_reliability(system.assignment)
-    return 1.0 - system_reliability(system.assignment.complement())
 
 
 def parse_blocks(payload, what: str, kinds: tuple) -> list:

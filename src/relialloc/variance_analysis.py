@@ -82,22 +82,6 @@ class Allocation:
                 )
 
 
-def cross_term_sum(values: Sequence[float]) -> float:
-    """Sum of products of every subset of size >= 2 of the arguments.
-
-    Computed in O(k) as prod(1 + x_i) - 1 - sum(x_i); the explicit subset
-    enumeration is kept in the test suite as an oracle.
-    """
-    if len(values) < 1:
-        raise ValueError("need at least one argument")
-    prod = 1.0
-    total = 0.0
-    for x in values:
-        prod *= 1.0 + x
-        total += x
-    return prod - 1.0 - total
-
-
 def lagrange_decomposition(
     numerators: Sequence[float], sizes: Sequence[float]
 ) -> tuple[float, float]:

@@ -422,7 +422,7 @@ class TestSources:
         seqs = []
         for _ in range(2):
             src = SimulatedSource(a, replication_rng(4, 2, 9))
-            seqs.append([src.draw(0, 0) for _ in range(20)] + [src.draw_many(1, 0, 30)])
+            seqs.append([src.draw_many(0, 0, 1) for _ in range(20)] + [src.draw_many(1, 0, 30)])
         assert seqs[0] == seqs[1]
 
     def test_simulated_frequencies(self):
@@ -495,10 +495,32 @@ class TestSources:
             "subsystem,component,outcome\n1,1,1\n1,1,0\n2,1,1\n2,1,1\n"
         )
         src = ReplaySource.from_csv(path, a.topology)
-        assert [src.draw(0, 0), src.draw(0, 0)] == [1, 0]
+        assert [src.draw_many(0, 0, 1), src.draw_many(0, 0, 1)] == [1, 0]
         assert src.draw_many(0, 1, 2) == 2
         with pytest.raises(SourceExhaustedError):
-            src.draw(0, 0)
+            src.draw_many(0, 0, 1)
+
+    def test_replay_request_past_the_queue_consumes_nothing(self):
+        a = ReliabilityAssignment.from_blocks([[0.5, 0.5]])
+        src = ReplaySource(a.topology, [(0, 0, 1), (0, 0, 0), (0, 0, 1), (1, 0, 1)])
+        assert src.draw_many(0, 0, 1) == 1
+        with pytest.raises(SourceExhaustedError):
+            src.draw_many(0, 0, 3)
+        # The failed request left the cursor where it was.
+        assert src.draw_many(0, 0, 2) == 1
+        with pytest.raises(SourceExhaustedError):
+            src.draw_many(0, 0, 1)
+        assert src.draw_many(1, 0, 1) == 1
+
+    def test_zero_count_returns_zero(self):
+        a = ReliabilityAssignment.from_blocks([[0.5]])
+        replay = ReplaySource(a.topology, [(0, 0, 1)])
+        assert replay.draw_many(0, 0, 0) == 0
+        assert replay.draw_many(0, 0, 1) == 1
+        assert replay.draw_many(0, 0, 0) == 0  # even on an exhausted queue
+        simulated = SimulatedSource(a, replication_rng(4, 0, 0), 1)
+        assert simulated.draw_many(0, 0, 0) == 0
+        assert simulated.remaining == 1
 
     def test_replay_rejects_bad_header(self, tmp_path):
         a = ReliabilityAssignment.from_blocks([[0.5]])

@@ -111,6 +111,16 @@ class TestAllocate:
         result = runner.invoke(main, ["allocate", "case:A", "--T", "2", "--rule"])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--T", "0", "--rule"], ["--T", "-5", "--balanced"],
+         ["--T", "10", "--oracle", "--min-per-slot", "0"]],
+        ids=["T-0", "T-negative", "min-per-slot-0"],
+    )
+    def test_value_below_one_is_usage_error(self, runner, flags):
+        result = runner.invoke(main, ["allocate", "case:A"] + flags)
+        assert result.exit_code == 2
+
 
 class TestSimulate:
     def test_rerun_is_byte_identical(self, runner, tmp_path):
@@ -273,6 +283,10 @@ TABLE1 = ["experiment", "--table1", "--reps", "5"]
         (TABLE1 + ["--seed", "-1"], {}),
         (SIMULATE, {"RELIALLOC_SEED": "-1"}),
         (TABLE1, {"RELIALLOC_SEED": "-1"}),
+        (SIMULATE + ["--T", "-5"], {}),
+        (SIMULATE + ["--T", "0"], {}),
+        (TABLE1 + ["--T", "0"], {}),
+        (["experiment", "--fixed-split", "--system", "case:A", "--T", "-5"], {}),
     ],
     ids=[
         "simulate-threads-0",
@@ -282,6 +296,10 @@ TABLE1 = ["experiment", "--table1", "--reps", "5"]
         "experiment-seed-negative",
         "simulate-env-seed-negative",
         "experiment-env-seed-negative",
+        "simulate-T-negative",
+        "simulate-T-0",
+        "experiment-T-0",
+        "experiment-T-negative",
     ],
 )
 def test_malformed_flag_is_usage_error(runner, tmp_path, args, env):

@@ -5,19 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relialloc import (
-    DualSystem,
     ReliabilityAssignment,
     SystemSpecError,
     SystemTopology,
     coeff_variation,
-    dual_reliability,
-    dual_transform,
     load_system,
     parse_system,
     subsystem_reliability,
     system_reliability,
 )
-from relialloc.system_model import PARALLEL_SERIES, SERIES_PARALLEL, dump_system
+from relialloc.system_model import dump_system
 
 from conftest import random_assignment
 
@@ -110,28 +107,25 @@ class TestCoeffVariation:
 
 
 class TestDuality:
+    # A series-parallel system is handled by duality: complement every
+    # reliability and take 1 minus the parallel-series reliability.
     def test_half_is_fixed_point(self):
-        system = DualSystem(
-            ReliabilityAssignment.from_blocks([[0.5, 0.5], [0.5, 0.5]]), PARALLEL_SERIES
-        )
-        dual = dual_transform(system)
-        assert dual.kind == SERIES_PARALLEL
-        assert dual.assignment.values == system.assignment.values
+        a = ReliabilityAssignment.from_blocks([[0.5, 0.5], [0.5, 0.5]])
+        dual = a.complement()
+        assert dual.topology == a.topology
+        assert dual.values == a.values
 
     def test_componentwise_complement(self):
-        system = DualSystem(
-            ReliabilityAssignment.from_blocks([[0.2, 0.4], [0.6, 0.3]]), PARALLEL_SERIES
-        )
-        dual = dual_transform(system)
-        assert dual.assignment.values == ((0.8, 0.6), (0.4, 0.7))
+        a = ReliabilityAssignment.from_blocks([[0.2, 0.4], [0.6, 0.3]])
+        assert a.complement().values == ((0.8, 0.6), (0.4, 0.7))
 
     @given(blocks_strategy)
     @settings(max_examples=100)
     def test_involution(self, blocks):
-        system = DualSystem(ReliabilityAssignment.from_blocks(blocks), PARALLEL_SERIES)
-        twice = dual_transform(dual_transform(system))
-        assert twice.kind == system.kind
-        for orig, back in zip(system.assignment.values, twice.assignment.values):
+        a = ReliabilityAssignment.from_blocks(blocks)
+        twice = a.complement().complement()
+        assert twice.topology == a.topology
+        for orig, back in zip(a.values, twice.values):
             for x, y in zip(orig, back):
                 assert x == pytest.approx(y, abs=1e-15)
 
@@ -139,20 +133,15 @@ class TestDuality:
         # direct series-parallel evaluation vs duality through the engine
         for _ in range(100):
             a = random_assignment(rng)
-            sp = DualSystem(a, SERIES_PARALLEL)
             direct_failure = 1.0
             for block in a.values:
                 series = 1.0
                 for v in block:
                     series *= v
                 direct_failure *= 1.0 - series
-            assert dual_reliability(sp) == pytest.approx(
+            assert 1.0 - system_reliability(a.complement()) == pytest.approx(
                 1.0 - direct_failure, rel=1e-12
             )
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(SystemSpecError):
-            DualSystem(ReliabilityAssignment.from_blocks([[0.5]]), "ladder")
 
 
 class TestConstruction:

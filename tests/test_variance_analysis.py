@@ -7,7 +7,6 @@ from relialloc import (
     AllocationError,
     ReliabilityAssignment,
     coeff_variation,
-    cross_term_sum,
     excess_variance,
     lagrange_decomposition,
     lower_bound_subsystem,
@@ -97,28 +96,10 @@ class TestSystemVariance:
                     coeff_variation(p)[1] ** 2 / m
                     for p, m in zip(a.block(j), alloc.block(j))
                 ]
-                rebuilt = (1.0 - r_j) ** 2 * (sum(ratios) + cross_term_sum(ratios))
+                rebuilt = (1.0 - r_j) ** 2 * (sum(ratios) + subset_cross_sum(ratios))
                 assert rebuilt == pytest.approx(
                     subsystem_variance(a, j, alloc), rel=1e-12, abs=1e-18
                 )
-
-
-class TestCrossTermSum:
-    def test_singleton_has_no_pairs(self):
-        assert cross_term_sum([3.7]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_pair_is_product(self):
-        assert cross_term_sum([2.0, 5.0]) == pytest.approx(10.0, abs=1e-12)
-
-    def test_triple(self):
-        assert cross_term_sum([1.0, 2.0, 3.0]) == pytest.approx(17.0, abs=1e-12)
-
-    @given(st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=1, max_size=6))
-    @settings(max_examples=200)
-    def test_matches_subset_enumeration(self, values):
-        assert cross_term_sum(values) == pytest.approx(
-            subset_cross_sum(values), rel=1e-10, abs=1e-12
-        )
 
 
 class TestLagrangeDecomposition:
