@@ -20,6 +20,7 @@ operations as the closed form.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,13 +48,6 @@ class AllocationRulePlan:
     component_fractions: tuple[tuple[float, ...], ...]
     subsystem_fractions: tuple[float, ...]
 
-    def __post_init__(self):
-        for group in (*self.component_fractions, self.subsystem_fractions):
-            if abs(sum(group) - 1.0) > 1e-12:
-                raise ValueError(f"fractions must sum to 1, got {sum(group)!r}")
-            if any(not 0.0 < f <= 1.0 for f in group):
-                raise ValueError("fractions must lie in (0, 1]")
-
 
 def component_fractions(cv_inverses: Sequence[float]) -> tuple[float, ...]:
     """Within-block sampling fractions, proportional to the inverse cv."""
@@ -74,6 +68,8 @@ def _weights(blocks: Sequence[BlockConstants]) -> list[float]:
 
 def _normalized(weights: Sequence[float]) -> tuple[float, ...]:
     total = sum(weights)
+    if not total:  # every block near-perfect: every split has variance 0
+        return (1.0 / len(weights),) * len(weights)
     return tuple(w / total for w in weights)
 
 
@@ -97,10 +93,10 @@ def _checked_floors(
     returned with the budget as an int."""
     if k < 1:
         raise AllocationError("need at least one slot")
-    if isinstance(floor_per_slot, int):
-        floors = [floor_per_slot] * k
-    else:
+    if hasattr(floor_per_slot, "__iter__"):
         floors = [int(f) for f in floor_per_slot]
+    else:  # any integral scalar: int, bool, a numpy integer
+        floors = [operator.index(floor_per_slot)] * k
     if len(floors) != k or min(floors) < 0:
         raise AllocationError("need one nonnegative floor per slot")
     total = int(total)
@@ -109,6 +105,20 @@ def _checked_floors(
             f"budget {total} cannot cover per-slot floors summing to {sum(floors)}"
         )
     return floors, total
+
+
+def _repair(counts: list[int], floors: Sequence[int], excess: int) -> None:
+    """Take ``excess`` units, one at a time, each off the currently largest
+    count above its floor (ties resolved toward the lowest index)."""
+    if excess <= 0:
+        return
+    # Each count above its floor, else -1, which max never picks: the
+    # callers' sum(floors) <= total guarantees an eligible slot exists.
+    above = [count if count > floor else -1 for count, floor in zip(counts, floors)]
+    for _ in range(excess):
+        largest = above.index(max(above))  # index finds the first of equal counts
+        counts[largest] -= 1
+        above[largest] = counts[largest] if counts[largest] > floors[largest] else -1
 
 
 def integerize(
@@ -125,16 +135,8 @@ def integerize(
     k = len(fractions)
     floors, total = _checked_floors(k, floor_per_slot, total)
     counts = [max(floors[i], math.floor(fractions[i] * total)) for i in range(k - 1)]
-    last = total - sum(counts)
-    while last < floors[-1]:
-        largest = None
-        for i in range(k - 1):
-            if counts[i] > floors[i] and (largest is None or counts[i] > counts[largest]):
-                largest = i
-        # sum(floors) <= total guarantees an eligible slot exists
-        counts[largest] -= 1
-        last += 1
-    return tuple(counts) + (last,)
+    _repair(counts, floors, floors[-1] - (total - sum(counts)))
+    return tuple(counts) + (total - sum(counts),)
 
 
 def apportion(
@@ -159,12 +161,7 @@ def apportion(
         by_deficit = sorted(range(k), key=lambda i: (counts[i] - scaled[i], i))
         for i in by_deficit[:short]:
             counts[i] += 1
-    while sum(counts) > total:
-        largest = None
-        for i in range(k):
-            if counts[i] > floors[i] and (largest is None or counts[i] > counts[largest]):
-                largest = i
-        counts[largest] -= 1
+    _repair(counts, floors, sum(counts) - total)
     return tuple(counts)
 
 
@@ -173,7 +170,8 @@ def balanced_allocation(topology: SystemTopology, total: int) -> Allocation:
     slots = topology.component_count
     if total < slots:
         raise AllocationError(f"budget {total} below one observation per slot ({slots})")
-    flat = integerize([1.0 / slots] * slots, total, 1)
+    share = total // slots
+    flat = [share] * (slots - 1) + [total - share * (slots - 1)]
     return _allocation_from_flat(topology, flat)
 
 

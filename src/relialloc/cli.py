@@ -39,9 +39,9 @@ from .allocation import (
 from .experiments import (
     SWEEP_REPLICATIONS,
     TABLE_REPLICATIONS,
+    _estimate_summary,
     _map_replications,
     convergence_rows,
-    empirical_variance,
     fixed_split_replications,
     fixed_split_rows,
     format_value,
@@ -92,7 +92,7 @@ def _guarded(fn):
             _fail(EXIT_MALFORMED, str(exc))
         except OracleGuardError as exc:
             _fail(EXIT_GUARD, str(exc))
-        except (AllocationError, SourceExhaustedError, ValueError) as exc:
+        except (AllocationError, SourceExhaustedError) as exc:
             _fail(EXIT_INFEASIBLE, str(exc))
         except OSError as exc:
             _fail(EXIT_OUTPUT, str(exc))
@@ -205,6 +205,9 @@ def evaluate(system, allocation_path):
 @_guarded
 def allocate(system, total, mode, min_per_slot):
     """Compute an integer allocation of the budget and its exact variance."""
+    given = click.get_current_context().get_parameter_source("min_per_slot")
+    if mode != "oracle" and given is not ParameterSource.DEFAULT:
+        raise click.UsageError(f"--min-per-slot applies to --oracle only, not --{mode}")
     assignment = _resolve_system(system)
     if mode == "rule":
         alloc = rule_allocation(assignment, total)
@@ -281,7 +284,7 @@ def simulate(system, total, scheme, t1, reps, seed, out_path, threads):
     ]
     # The mean row first, so the per-replication rows can stream to the file.
     k = len(records)
-    mean_r = sum(r for r, _ in records) / k
+    mean_r, var, se = _estimate_summary([r for r, _ in records])
     slot_sums = [
         [sum(counts[j][i] for _, counts in records) for i in range(size)]
         for j, size in enumerate(topo.block_sizes)
@@ -300,8 +303,6 @@ def simulate(system, total, scheme, t1, reps, seed, out_path, threads):
                 + [str(c) for block in counts for c in block]
             )
         yield mean_row
-
-    var, se = empirical_variance([r for r, _ in records])
 
     out = Path(out_path)
     config = {

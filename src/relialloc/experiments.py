@@ -142,6 +142,20 @@ def empirical_variance(samples) -> tuple[float, float]:
     return var, math.sqrt(max(var_of_var, 0.0))
 
 
+def _estimate_summary(r_hats) -> tuple[float, float, float]:
+    """Mean of the estimates, then ``empirical_variance``'s (var, se).
+
+    The mean adds the estimates one by one in replication order, so every
+    driver and the CLI's ``simulate`` report the same bits for the same
+    replications.
+    """
+    var, se = empirical_variance(r_hats)
+    total = 0.0
+    for r_hat in r_hats:  # not sum(): from Python 3.12 it compensates rounding
+        total += r_hat
+    return float(total / len(r_hats)), var, se
+
+
 def simulate_fixed_allocation(
     assignment: ReliabilityAssignment, allocation: Allocation, replications: int, rng
 ) -> np.ndarray:
@@ -202,14 +216,12 @@ def _hybrid_replications(
     outcomes = _map_replications(
         assignment, replications, master_seed, point_key, design, total
     )
-    r_hats = np.array([o[0] for o in outcomes])
-    block_totals = [o[1] for o in outcomes]
-    return r_hats, block_totals
+    return [o[0] for o in outcomes], [o[1] for o in outcomes]
 
 
 def _require_two_blocks(assignment: ReliabilityAssignment) -> None:
     if assignment.topology.subsystem_count != 2:
-        raise ValueError("the fixed-split design needs exactly two subsystems")
+        raise AllocationError("the fixed-split design needs exactly two subsystems")
 
 
 def fixed_split_replications(
@@ -250,8 +262,7 @@ def run_fixed_split_experiment(
     points = []
     for t1 in range(low, total - low + 1):
         outcomes = fixed_split_replications(assignment, total, t1, replications, master_seed)
-        r_hats = np.array([o[0] for o in outcomes])
-        var, se = empirical_variance(r_hats)
+        mean, var, se = _estimate_summary([o[0] for o in outcomes])
 
         cache: dict[tuple, float] = {}
         acc = 0.0
@@ -267,7 +278,7 @@ def run_fixed_split_experiment(
                 t2=total - t1,
                 var_hat=var,
                 se=se,
-                mean_r_hat=float(r_hats.mean()),
+                mean_r_hat=mean,
                 exact_conditional_mean=acc / replications,
             )
         )
@@ -279,7 +290,7 @@ def run_hybrid_expectation(
 ) -> HybridExpectation:
     """Mean realized block budgets (and estimator statistics) under the hybrid design."""
     r_hats, block_totals = _hybrid_replications(assignment, total, replications, master_seed, 0)
-    var, se = empirical_variance(r_hats)
+    mean, var, se = _estimate_summary(r_hats)
     totals = np.array(block_totals, dtype=float)
     mean_totals = tuple(float(v) for v in totals.mean(axis=0))
     return HybridExpectation(
@@ -290,7 +301,7 @@ def run_hybrid_expectation(
         rounded_t1=round(mean_totals[0]),
         var_hat=var,
         se=se,
-        mean_r_hat=float(r_hats.mean()),
+        mean_r_hat=mean,
     )
 
 
@@ -301,7 +312,7 @@ def run_convergence_sweep(
     points = []
     for total in budgets:
         r_hats, _ = _hybrid_replications(assignment, total, replications, master_seed, total)
-        var, se = empirical_variance(r_hats)
+        mean, var, se = _estimate_summary(r_hats)
         q = lower_bound_system(assignment, total)
         points.append(
             SweepPoint(
@@ -310,7 +321,7 @@ def run_convergence_sweep(
                 se=se,
                 q_bound=q,
                 excess=total * (var - q),
-                mean_r_hat=float(r_hats.mean()),
+                mean_r_hat=mean,
             )
         )
     return points

@@ -219,3 +219,18 @@ class TestRuleAllocation:
             alloc = rule_allocation(a, total)
             assert alloc.total == total
             assert all(c >= 1 for block in alloc.counts for c in block)
+
+    def test_block_whose_reliability_rounds_to_one_gets_fraction_zero(self):
+        a = ReliabilityAssignment.from_blocks([[0.999999999, 0.999999999], [0.5, 0.6]])
+        assert rule_plan(a).subsystem_fractions == (0.0, 1.0)
+        assert rule_allocation(a, 10).counts == ((1, 1), (4, 4))
+
+    @pytest.mark.parametrize("blocks", [[[0.999999999] * 2], [[0.999999999] * 2] * 3])
+    def test_every_block_near_perfect_splits_equally(self, blocks):
+        a = ReliabilityAssignment.from_blocks(blocks)
+        n = len(blocks)
+        assert subsystem_fractions(a) == (1.0 / n,) * n
+        alloc = rule_allocation(a, 12)
+        assert alloc.total == 12
+        assert system_variance(a, alloc) == 0.0
+        assert lower_bound_system(a, 12) == 0.0

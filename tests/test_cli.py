@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -121,6 +122,52 @@ class TestAllocate:
         result = runner.invoke(main, ["allocate", "case:A"] + flags)
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("mode", [[], ["--rule"], ["--balanced"]],
+                             ids=["default", "rule", "balanced"])
+    def test_min_per_slot_outside_the_oracle_is_usage_error(self, runner, mode):
+        result = runner.invoke(
+            main, ["allocate", "case:A", "--T", "20", "--min-per-slot", "5"] + mode
+        )
+        assert result.exit_code == 2
+        assert "--min-per-slot" in result.output
+
+    def test_oracle_reads_min_per_slot(self, runner):
+        # test_rule_split and test_balanced cover the other modes at the default
+        result = runner.invoke(
+            main, ["allocate", "case:A", "--T", "20", "--oracle", "--min-per-slot", "2"]
+        )
+        assert result.exit_code == 0, result.output
+        counts = re.findall(r"\d+", " ".join(re.findall(r"M = \[(.*)\]", result.output)))
+        assert len(counts) == 4 and min(map(int, counts)) == 2
+
+    def test_block_whose_reliability_rounds_to_one_gets_its_floor(self, runner, tmp_path):
+        # The rule gives this block across-block fraction 0; its floor of
+        # one draw per slot is all it gets.
+        system = write_system(tmp_path, [[0.999999999, 0.999999999], [0.5, 0.6]])
+        result = runner.invoke(main, ["allocate", system, "--T", "10"])
+        assert result.exit_code == 0, result.output
+        assert "T_1 = 2  M = [1, 1]" in result.output
+        assert "T_2 = 8  M = [4, 4]" in result.output
+
+    @pytest.mark.parametrize(
+        "blocks, expected",
+        [([[0.999999999, 0.999999999]], ["M = [6, 6]"]),
+         ([[0.999999999, 0.999999999], [0.999999999, 0.9999999999, 0.999999999]],
+          ["M = [3, 3]", "M = [1, 4, 1]"])],
+        ids=["one-block", "two-blocks"],
+    )
+    def test_every_block_near_perfect(self, runner, tmp_path, blocks, expected):
+        # Every block weight is 0, so every split has variance 0 and the
+        # across-block fractions are equal.
+        system = write_system(tmp_path, blocks)
+        result = runner.invoke(main, ["allocate", system, "--T", "12"])
+        assert result.exit_code == 0, result.output
+        totals = re.findall(r"T_\d+ = (\d+)", result.output)
+        assert sum(map(int, totals)) == 12
+        for counts in expected:
+            assert counts in result.output
+        assert "predicted Var = 0\n" in result.output
+
 
 class TestSimulate:
     def test_rerun_is_byte_identical(self, runner, tmp_path):
@@ -227,9 +274,7 @@ class TestSimulate:
         else:
             expected = run_hybrid_expectation(load_case("D"), 20, 40, 6)
         assert summary["var_R_hat"] == expected.var_hat
-        # The CLI sums R_hat in index order, numpy's mean pairwise: they may
-        # differ in the last bit.
-        assert summary["mean_R_hat"] == pytest.approx(expected.mean_r_hat, rel=1e-15)
+        assert summary["mean_R_hat"] == expected.mean_r_hat
 
     def test_single_replication_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(
@@ -257,6 +302,18 @@ class TestSimulate:
         )
         assert result.exit_code == 3
         assert not (tmp_path / "x.csv").exists()
+
+    def test_internal_value_error_is_not_an_infeasible_budget(
+        self, runner, tmp_path, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise ValueError("an internal fault")
+
+        monkeypatch.setattr("relialloc.cli.hybrid_two_stage", broken)
+        result = runner.invoke(main, SIMULATE + ["--out", str(tmp_path / "x.csv")])
+        assert result.exit_code != 3
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == "an internal fault"
 
     def test_unwritable_output_exits_5(self, runner, tmp_path):
         blocker = tmp_path / "blocker"

@@ -20,6 +20,8 @@ from relialloc import (
 )
 from relialloc.cases import load_case
 from relialloc.experiments import (
+    _estimate_summary,
+    _hybrid_replications,
     _map_replications,
     convergence_rows,
     fixed_split_replications,
@@ -49,6 +51,32 @@ class TestEmpiricalVariance:
         samples = rng.binomial(10, 0.5, size=200_000) / 10
         var, se = empirical_variance(samples)
         assert abs(var - 0.025) < 3 * se
+
+
+def index_order_mean(xs):
+    total = 0.0
+    for x in xs:
+        total += x
+    return total / len(xs)
+
+
+class TestEstimateSummary:
+    def test_mean_adds_in_index_order(self):
+        # numpy's pairwise mean gives 0.33689999999999987 on this sample
+        xs = [0.1] * 10 + [0.7] * 13 + [1e-3] * 7
+        mean, var, se = _estimate_summary(xs)
+        assert mean == index_order_mean(xs) == 0.3368999999999998
+        assert (var, se) == empirical_variance(xs)
+
+    def test_every_driver_reports_the_index_order_mean(self):
+        a = load_case("D")
+        hybrid, _ = _hybrid_replications(a, 20, 40, 6, 0)
+        assert run_hybrid_expectation(a, 20, 40, 6).mean_r_hat == index_order_mean(hybrid)
+        swept, _ = _hybrid_replications(a, 20, 40, 6, 20)
+        assert run_convergence_sweep(a, [20], 40, 6)[0].mean_r_hat == index_order_mean(swept)
+        point = run_fixed_split_experiment(a, 20, 40, 6)[0]
+        split = [r for r, _ in fixed_split_replications(a, 20, point.t1, 40, 6)]
+        assert point.mean_r_hat == index_order_mean(split)
 
 
 class TestFixedAllocationOracle:

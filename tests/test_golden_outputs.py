@@ -55,7 +55,7 @@ GOLDEN = {
         "c0b8f3385a7460175055d2c8954280678a3dcc58c8909093b5b6fc0b9420b7c7",
     ),
     "experiment-fixed-split": (
-        "7ef901df26e29be9154ddb6160ef096d85cc7c0f9526db8a62a4190eed7f006e",
+        "7ed8487880c44eb54b7886c8f229b70b8d317d0942e2626afbbbaef4a62bc187",
         "6b81987ae795859dd4a8fa361b5c1e98bf8a5cfe3fb6967e40be824fe6732cfc",
     ),
     "experiment-table1": (
