@@ -12,9 +12,13 @@ The component-level scheme for one parallel block with budget T_j:
 The hybrid scheme runs the component-level scheme twice per block: first
 with a uniform block budget L = floor(sqrt(T)) to buy estimates, then with
 block budgets set by the across-block rule (floored at L so no block is
-starved). All previously drawn units are pooled: they count toward every
-later floor, target, and estimate, which is what makes the grand total
-come out to exactly T.
+starved). That rule is the known-reliability allocation's own: the
+subsystem fractions of ``system_model.block_constants``, ``block_weights``
+and ``_normalized``, evaluated at the clamped pilot estimates. All
+previously drawn units are pooled: they count toward every later floor,
+target, and estimate, which is what makes the grand total come out to
+exactly T. The reported estimate is ``1 - system_model._failure`` of the
+raw sample means per block, multiplied over the blocks.
 
 A block whose pooled draws already fill its budget after the pilot has
 only one allocation its floors allow, so the scheme returns there without
@@ -49,6 +53,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -56,7 +61,14 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import component_fractions, integerize
-from .system_model import ReliabilityAssignment, SystemTopology, block_weight
+from .system_model import (
+    ReliabilityAssignment,
+    SystemTopology,
+    _failure,
+    _normalized,
+    block_constants,
+    block_weights,
+)
 from .variance_analysis import Allocation, AllocationError
 
 
@@ -304,20 +316,11 @@ def _block_targets(
 def _block_budgets(
     total: int, draws: tuple[tuple[int, ...], ...], successes: tuple[tuple[int, ...], ...]
 ) -> tuple[int, ...]:
-    """Across-block budgets from the pooled counts of the whole ledger:
-    block weights from clamped estimates, rounded with the pilot
-    floor(sqrt(total)) as every block's floor."""
-    weights = []
-    for block_draws, block_successes in zip(draws, successes):
-        inv_sum = 0.0
-        failure = 1.0
-        for d, s in zip(block_draws, block_successes):
-            r_hat, _, cv_inv = mle_cv(d, s)
-            inv_sum += cv_inv
-            failure *= 1.0 - r_hat
-        weights.append(block_weight(1.0 - failure, inv_sum))
-    w_total = sum(weights)
-    fractions = [w / w_total for w in weights]
+    """Across-block budgets from the pooled counts of the whole ledger: the
+    rule's subsystem fractions at the clamped estimates, rounded with the
+    pilot floor(sqrt(total)) as every block's floor."""
+    estimates = [[mle_cv(d, s)[0] for d, s in zip(*block)] for block in zip(draws, successes)]
+    fractions = _normalized(block_weights(block_constants(estimates)))
     return integerize(fractions, total, pilot_size(total))
 
 
@@ -421,15 +424,10 @@ def estimate_reliability(ledger: SampleLedger, topology: SystemTopology) -> floa
     is exactly the product of block estimates built from sample means.
     """
     r = 1.0
-    for j, size in enumerate(topology.block_sizes):
-        draws = ledger.draws[j]
-        successes = ledger.successes[j]
-        failure = 1.0
-        for i in range(size):
-            if draws[i] < 1:
-                raise ValueError(
-                    f"component {i + 1} of subsystem {j + 1} has no draws"
-                )
-            failure *= 1.0 - successes[i] / draws[i]
-        r *= 1.0 - failure
+    for j, (draws, successes) in enumerate(zip(ledger.draws, ledger.successes)):
+        if min(draws) < 1:
+            raise ValueError(
+                f"component {draws.index(min(draws)) + 1} of subsystem {j + 1} has no draws"
+            )
+        r *= 1.0 - _failure(map(operator.truediv, successes, draws))
     return r

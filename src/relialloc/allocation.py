@@ -6,7 +6,8 @@ to the inverse coefficients of variation; across blocks, budgets
 proportional to (1 - R_j)/R_j times the block's summed inverse cv. The
 rules accept either true reliabilities or estimates; the caller decides.
 The rules and the oracle take their block constants from one call of
-``system_model.block_constants``.
+``system_model.block_constants``, and the rules their block weights and
+fractions from ``block_weights`` and ``_normalized`` beside it.
 
 The brute-force oracle walks every composition of the budget in
 lexicographic order as an odometer over the slots: the first slot turns
@@ -28,8 +29,10 @@ from .system_model import (
     BlockConstants,
     ReliabilityAssignment,
     SystemTopology,
+    _normalized,
     block_constants,
-    block_weight,
+    block_weights,
+    ordered_sum,
 )
 from .variance_analysis import Allocation, AllocationError, system_variance
 
@@ -53,24 +56,13 @@ def component_fractions(cv_inverses: Sequence[float]) -> tuple[float, ...]:
     """Within-block sampling fractions, proportional to the inverse cv."""
     if any(x <= 0 for x in cv_inverses):
         raise ValueError("inverse coefficients of variation must be positive")
-    total = sum(cv_inverses)
+    total = ordered_sum(cv_inverses)
     return tuple(x / total for x in cv_inverses)
 
 
 def subsystem_weights(assignment: ReliabilityAssignment) -> tuple[float, ...]:
     """Unnormalized block weights (1 - R_j)/R_j * sum_i 1/c_ij."""
-    return tuple(_weights(block_constants(assignment)))
-
-
-def _weights(blocks: Sequence[BlockConstants]) -> list[float]:
-    return [block_weight(r_j, inv_sum) for r_j, _, _, inv_sum in blocks]
-
-
-def _normalized(weights: Sequence[float]) -> tuple[float, ...]:
-    total = sum(weights)
-    if not total:  # every block near-perfect: every split has variance 0
-        return (1.0 / len(weights),) * len(weights)
-    return tuple(w / total for w in weights)
+    return tuple(block_weights(block_constants(assignment.values)))
 
 
 def subsystem_fractions(assignment: ReliabilityAssignment) -> tuple[float, ...]:
@@ -80,9 +72,9 @@ def subsystem_fractions(assignment: ReliabilityAssignment) -> tuple[float, ...]:
 
 def rule_plan(assignment: ReliabilityAssignment) -> AllocationRulePlan:
     """Full rule-based plan: block fractions plus within-block fractions."""
-    blocks = block_constants(assignment)
+    blocks = block_constants(assignment.values)
     comp = tuple(component_fractions(inv_cv) for _, _, inv_cv, _ in blocks)
-    return AllocationRulePlan(comp, _normalized(_weights(blocks)))
+    return AllocationRulePlan(comp, _normalized(block_weights(blocks)))
 
 
 def _checked_floors(
@@ -90,7 +82,8 @@ def _checked_floors(
 ) -> tuple[list[int], int]:
     """The per-slot floors of a k-slot rounding, one per slot from a scalar
     or a sequence, checked to be nonnegative and covered by the budget;
-    returned with the budget as an int."""
+    returned with the budget, which must be integral (an int, a numpy
+    integer; a float raises TypeError)."""
     if k < 1:
         raise AllocationError("need at least one slot")
     if hasattr(floor_per_slot, "__iter__"):
@@ -99,7 +92,7 @@ def _checked_floors(
         floors = [operator.index(floor_per_slot)] * k
     if len(floors) != k or min(floors) < 0:
         raise AllocationError("need one nonnegative floor per slot")
-    total = int(total)
+    total = operator.index(total)
     if total < sum(floors):
         raise AllocationError(
             f"budget {total} cannot cover per-slot floors summing to {sum(floors)}"
@@ -147,9 +140,11 @@ def apportion(
     Unlike ``integerize`` (whose floor-and-remainder convention the adaptive
     designs are specified against), this starts every slot at the larger of
     its floor and its rounded-down share, then hands leftover units to the
-    slots furthest below their real-valued share. A slot its floor has
-    lifted above its share therefore never receives one, and no slot ends
-    more than one unit away from its share unless a floor forces it.
+    slots furthest below their real-valued share, lap after lap in that
+    order until none is left. With fractions that sum to 1 one lap
+    suffices: a slot its floor has lifted above its share then never
+    receives a unit, and no slot ends more than one unit away from its
+    share unless a floor forces it. The counts always sum to the budget.
     Ties and over-allocation repair resolve toward the lowest index.
     """
     k = len(fractions)
@@ -159,8 +154,10 @@ def apportion(
     short = total - sum(counts)
     if short > 0:
         by_deficit = sorted(range(k), key=lambda i: (counts[i] - scaled[i], i))
-        for i in by_deficit[:short]:
-            counts[i] += 1
+        while short > 0:  # more than one lap only if the fractions sum below 1
+            for i in by_deficit[:short]:
+                counts[i] += 1
+            short -= k
     _repair(counts, floors, sum(counts) - total)
     return tuple(counts)
 
@@ -240,7 +237,7 @@ def brute_force_optimal(
             f"{n_candidates} candidate allocations exceed the guard of {guard}"
         )
 
-    best = _best_composition(block_constants(assignment), total, min_per_slot)
+    best = _best_composition(block_constants(assignment.values), total, min_per_slot)
     allocation = _allocation_from_flat(topo, best)
     # recompute through the public path so the reported value is authoritative
     return allocation, system_variance(assignment, allocation)

@@ -18,10 +18,10 @@ independent and reruns reproduce results exactly. A replication of budget
 T draws exactly T outcomes, the first T uniforms of its stream in draw
 order; the loop takes them as one block and checks that all were used.
 Replications run one after another on the calling thread, in index order,
-and aggregation walks them in that order to keep emitted numbers
-byte-stable. The replication
-work is pure Python bound by the interpreter lock, so worker threads would
-only slow it down.
+and aggregation walks them in that order, adding with
+``system_model.ordered_sum``, to keep emitted numbers byte-stable on every
+Python version. The replication work is pure Python bound by the
+interpreter lock, so worker threads would only slow it down.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .adaptive_sampling import (
     pilot_size,
     two_stage_subsystem,
 )
-from .system_model import ReliabilityAssignment
+from .system_model import ReliabilityAssignment, ordered_sum
 from .variance_analysis import (
     Allocation,
     AllocationError,
@@ -145,15 +145,12 @@ def empirical_variance(samples) -> tuple[float, float]:
 def _estimate_summary(r_hats) -> tuple[float, float, float]:
     """Mean of the estimates, then ``empirical_variance``'s (var, se).
 
-    The mean adds the estimates one by one in replication order, so every
-    driver and the CLI's ``simulate`` report the same bits for the same
-    replications.
+    The mean is the ``ordered_sum`` of the estimates in replication order,
+    so every driver and the CLI's ``simulate`` report the same bits for the
+    same replications.
     """
     var, se = empirical_variance(r_hats)
-    total = 0.0
-    for r_hat in r_hats:  # not sum(): from Python 3.12 it compensates rounding
-        total += r_hat
-    return float(total / len(r_hats)), var, se
+    return float(ordered_sum(r_hats) / len(r_hats)), var, se
 
 
 def simulate_fixed_allocation(
@@ -264,14 +261,12 @@ def run_fixed_split_experiment(
         outcomes = fixed_split_replications(assignment, total, t1, replications, master_seed)
         mean, var, se = _estimate_summary([o[0] for o in outcomes])
 
-        cache: dict[tuple, float] = {}
-        acc = 0.0
-        for _, counts in outcomes:
-            if counts not in cache:
-                cache[counts] = system_variance(
-                    assignment, Allocation(assignment.topology, counts)
-                )
-            acc += cache[counts]
+        # one exact variance per distinct allocation, in order of first use
+        variances = {
+            counts: system_variance(assignment, Allocation(assignment.topology, counts))
+            for counts in dict.fromkeys(counts for _, counts in outcomes)
+        }
+        exact = ordered_sum(variances[counts] for _, counts in outcomes)
         points.append(
             FixedSplitPoint(
                 t1=t1,
@@ -279,7 +274,7 @@ def run_fixed_split_experiment(
                 var_hat=var,
                 se=se,
                 mean_r_hat=mean,
-                exact_conditional_mean=acc / replications,
+                exact_conditional_mean=exact / replications,
             )
         )
     return points

@@ -15,11 +15,13 @@ for every allocation with the same budget and follow from the Lagrange
 identity implemented by ``lagrange_decomposition``.
 
 The variances and the lower bounds each take R_j, u_ij and sum_i 1/c_ij
-from one call of ``system_model.block_constants``.
+from one call of ``system_model.block_constants``, and the system bound its
+block weights from ``system_model.block_weights``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,7 +30,8 @@ from .system_model import (
     ReliabilityAssignment,
     SystemTopology,
     block_constants,
-    block_weight,
+    block_weights,
+    ordered_sum,
 )
 
 
@@ -103,14 +106,13 @@ def lagrange_decomposition(
     if any(a <= 0 for a in numerators) or any(n <= 0 for n in sizes):
         raise ValueError("all entries must be strictly positive")
     roots = [math.sqrt(a) for a in numerators]
-    big_n = sum(sizes)
-    leading = sum(roots) ** 2 / big_n
-    remainder = 0.0
-    for i in range(len(sizes) - 1):
-        for j in range(i + 1, len(sizes)):
-            diff = sizes[i] * roots[j] - sizes[j] * roots[i]
-            remainder += diff * diff / (sizes[i] * sizes[j])
-    return leading, remainder / big_n
+    big_n = ordered_sum(sizes)
+    leading = ordered_sum(roots) ** 2 / big_n
+    terms = []
+    for i, j in itertools.combinations(range(len(sizes)), 2):
+        diff = sizes[i] * roots[j] - sizes[j] * roots[i]
+        terms.append(diff * diff / (sizes[i] * sizes[j]))
+    return leading, ordered_sum(terms) / big_n
 
 
 def _block_variance(r_j: float, u: Sequence[float], counts: Sequence[int]) -> float:
@@ -128,7 +130,7 @@ def subsystem_variance(
         raise AllocationError("allocation and assignment shapes differ")
     allocation.require_positive(j)
     assignment.topology.check_subsystem(j)
-    r_j, u, _, _ = block_constants(assignment)[j]
+    r_j, u, _, _ = block_constants(assignment.values)[j]
     return _block_variance(r_j, u, allocation.counts[j])
 
 
@@ -139,7 +141,7 @@ def system_variance(assignment: ReliabilityAssignment, allocation: Allocation) -
     allocation.require_positive()
     prod = 1.0
     base = 1.0
-    for (r_j, u, _, _), counts in zip(block_constants(assignment), allocation.counts):
+    for (r_j, u, _, _), counts in zip(block_constants(assignment.values), allocation.counts):
         prod *= _block_variance(r_j, u, counts) + r_j * r_j
         base *= r_j * r_j
     return prod - base
@@ -157,7 +159,7 @@ def lower_bound_subsystem(
     if total < 1:
         raise AllocationError(f"block budget must be >= 1, got {total}")
     assignment.topology.check_subsystem(j)
-    r_j, _, _, inv_sum = block_constants(assignment)[j]
+    r_j, _, _, inv_sum = block_constants(assignment.values)[j]
     return (1.0 - r_j) ** 2 * inv_sum * inv_sum / total
 
 
@@ -169,11 +171,11 @@ def lower_bound_system(assignment: ReliabilityAssignment, total: float) -> float
     """
     if total < 1:
         raise AllocationError(f"total budget must be >= 1, got {total}")
+    blocks = block_constants(assignment.values)
     r = 1.0
-    weight = 0.0
-    for r_j, _, _, inv_sum in block_constants(assignment):
+    for r_j, _, _, _ in blocks:
         r *= r_j
-        weight += block_weight(r_j, inv_sum)
+    weight = ordered_sum(block_weights(blocks))
     return r * r * weight * weight / total
 
 

@@ -3,6 +3,10 @@
 Each reference below repeats the formula the engine used before the block
 constants moved into ``system_model.block_constants``: the same float
 expressions in the same order, with ``sum()`` and ``+=`` where they were.
+``sum`` is shadowed below by the left-to-right addition builtin ``sum()``
+does up to Python 3.11 (from 3.12 it compensates rounding), so the
+references mean on every interpreter what they meant when the engine was
+checked against them.
 The engine must reproduce every value exactly (``==``, not approx), and
 raise what the reference raises. The brute-force oracle is checked
 against the plain recursive enumeration it replaced.
@@ -41,6 +45,13 @@ from relialloc.allocation import (
 from relialloc.cases import available, load_case
 
 MAX_T = 6400
+
+
+def sum(values, start=0):
+    """Builtin ``sum()`` as up to Python 3.11: one term at a time, in order."""
+    for value in values:
+        start = start + value
+    return start
 
 
 # ---------------------------------------------------------------------------
