@@ -95,10 +95,15 @@ class BernoulliSource:
 #: ``count_nonzero`` on a slice. A list costs about 0.06 us per uniform
 #: (``tolist`` plus the scan), a numpy count about 2 us per request, so
 #: the list wins while a block is short for the requests made on it.
-#: Measured per hybrid replication (Python 3.11.7, numpy 2.4.6), list
-#: against array: case A 81/87 us at T=20, 110/114 at T=400, 136/125 at
-#: T=800; the 14-slot chain 250/271 us at T=400, 220/212 at T=800,
-#: 505/265 at T=6400.
+#: Measured per hybrid replication with warm decision caches, list
+#: against array-only blocks, alternating in one process (8 rounds,
+#: medians; 2-core Xeon, Python 3.11.7, numpy 2.4.6): cases A-D at T=20
+#: 33-48 us, the list 1-4% faster (6-7 of 8 rounds); cases A and C 5-8%
+#: faster at T=100 and 3% slower at T=200; 18% slower at T=400 (A and C
+#: 51/43 and 54/46 us). The 14-slot chain: 7% faster at T=100 and T=200,
+#: 8% slower at T=400 (83/76 us). Above this bound both run the array, and
+#: the same A/B there read within 3%. The crossover sits between 100 and
+#: 400 uniforms; no benchmark workload runs near it.
 LIST_BLOCK_MAX = 512
 
 #: The request-length crossover on a numpy block, in uniforms. A request
@@ -248,7 +253,7 @@ class HybridResult:
     @cached_property
     def allocation(self) -> Allocation:
         """The realized per-slot counts, built on first use: the experiment
-        drivers read only the estimate and the block budgets."""
+        drivers read the estimate and the ledger's counts only."""
         return self.ledger.to_allocation()
 
 
@@ -412,12 +417,12 @@ def hybrid_two_stage(
 
     return HybridResult(
         ledger=ledger,
-        reliability_estimate=estimate_reliability(ledger, topology),
+        reliability_estimate=estimate_reliability(ledger),
         block_budgets=block_budgets,
     )
 
 
-def estimate_reliability(ledger: SampleLedger, topology: SystemTopology) -> float:
+def estimate_reliability(ledger: SampleLedger) -> float:
     """Plug-in system reliability from raw (unclamped) sample means.
 
     Clamping is reserved for allocation decisions; the reported estimate

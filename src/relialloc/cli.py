@@ -4,6 +4,10 @@ Four subcommands: ``evaluate`` (exact quantities for a system and optional
 allocation), ``allocate`` (rule, balanced, or certified-optimal integer
 allocations), ``simulate`` (per-replication records for one scheme), and
 ``experiment`` (the canned fixed-split / budget-table / convergence runs).
+Each checks its flags, makes its library calls, and writes what they
+return: ``simulate`` takes its records from ``experiments.simulate_records``
+and its mean row and summary from ``experiments.summarize_records``, the
+same two functions the experiment drivers use.
 
 Output files are written to a temporary name and atomically renamed, so a
 failed invocation never leaves a partial CSV. Every data file gets a
@@ -29,6 +33,7 @@ import click
 from click.core import ParameterSource
 
 from . import __version__, cases
+# hybrid_two_stage is unused here; perfbench's tracer test pins relialloc.cli's binding of it.
 from .adaptive_sampling import SourceExhaustedError, hybrid_two_stage
 from .allocation import (
     OracleGuardError,
@@ -37,19 +42,17 @@ from .allocation import (
     rule_allocation,
 )
 from .experiments import (
+    SCHEMES,
     SWEEP_REPLICATIONS,
     TABLE_REPLICATIONS,
-    _estimate_summary,
-    _map_replications,
     convergence_rows,
-    fixed_split_replications,
     fixed_split_rows,
     format_value,
-    replication_rng,
     run_convergence_sweep,
     run_fixed_split_experiment,
     run_hybrid_expectation,
-    simulate_fixed_allocation,
+    simulate_records,
+    summarize_records,
     table_rows,
 )
 from .system_model import (
@@ -240,7 +243,7 @@ _THREADS = click.option(
 @click.argument("system", type=str)
 @click.option("--T", "total", type=click.IntRange(min=1), required=True,
               help="Total observation budget (at least 1).")
-@click.option("--scheme", type=click.Choice(["hybrid", "balanced", "fixed-split"]),
+@click.option("--scheme", type=click.Choice(SCHEMES),
               default="hybrid", show_default=True)
 @click.option("--T1", "t1", type=int, default=None,
               help="First-block budget (fixed-split scheme only).")
@@ -257,52 +260,26 @@ def simulate(system, total, scheme, t1, reps, seed, out_path, threads):
     if scheme != "fixed-split" and t1 is not None:
         raise click.UsageError(f"--T1 applies to --scheme fixed-split only, not {scheme}")
     assignment = _resolve_system(system)
+    records = simulate_records(assignment, scheme, total, reps, seed, t1)
+    summary = summarize_records(records)
+
     topo = assignment.topology
-
-    # records: one (R_hat, per-slot counts) pair per replication
-    if scheme == "hybrid":
-
-        def design(source):
-            result = hybrid_two_stage(source, topo, total)
-            return result.reliability_estimate, result.allocation.counts
-
-        records = _map_replications(assignment, reps, seed, 0, design, total)
-    elif scheme == "fixed-split":
-        records = fixed_split_replications(assignment, total, t1, reps, seed)
-    else:
-        alloc = balanced_allocation(topo, total)
-        rng = replication_rng(seed, 0, 0)
-        r_hats = simulate_fixed_allocation(assignment, alloc, reps, rng)
-        records = [(float(r), alloc.counts) for r in r_hats]
-
     header = ["rep", "R_hat"]
     header += [f"T_{j + 1}" for j in range(topo.subsystem_count)]
-    header += [
-        f"M_{i + 1}_{j + 1}"
-        for j in range(topo.subsystem_count)
-        for i in range(topo.block_sizes[j])
-    ]
-    # The mean row first, so the per-replication rows can stream to the file.
-    k = len(records)
-    mean_r, var, se = _estimate_summary([r for r, _ in records])
-    slot_sums = [
-        [sum(counts[j][i] for _, counts in records) for i in range(size)]
-        for j, size in enumerate(topo.block_sizes)
-    ]
-    mean_row = (
-        ["mean", format_value(mean_r)]
-        + [format_value(sum(block) / k) for block in slot_sums]
-        + [format_value(c / k) for block in slot_sums for c in block]
+    header += [f"M_{i + 1}_{j + 1}" for j, n in enumerate(topo.block_sizes) for i in range(n)]
+    # The per-replication rows stream to the file, then the mean row.
+    rep_rows = (
+        [str(rep), format_value(r_hat)]
+        + [str(sum(block)) for block in counts]
+        + [str(c) for block in counts for c in block]
+        for rep, (r_hat, counts) in enumerate(records)
     )
-
-    def rows():
-        for rep, (r_hat, counts) in enumerate(records):
-            yield (
-                [str(rep), format_value(float(r_hat))]
-                + [str(sum(block)) for block in counts]
-                + [str(c) for block in counts for c in block]
-            )
-        yield mean_row
+    mean_row = (
+        ["mean", format_value(summary.mean_r_hat)]
+        + [format_value(t) for t in summary.mean_block_totals]
+        + [format_value(c) for block in summary.mean_counts for c in block]
+    )
+    rows = itertools.chain(rep_rows, [mean_row])
 
     out = Path(out_path)
     config = {
@@ -314,9 +291,9 @@ def simulate(system, total, scheme, t1, reps, seed, out_path, threads):
         "reps": reps,
         "seed": seed,
     }
-    summary = {"mean_R_hat": mean_r, "var_R_hat": var, "se_var": se}
-    _write_outputs(out, header, rows(), "simulate", config, {"summary": summary})
-    click.echo(f"wrote {out} ({reps} replications), var(R_hat) = {_f6(var)}")
+    stats = {"mean_R_hat": summary.mean_r_hat, "var_R_hat": summary.var_hat, "se_var": summary.se}
+    _write_outputs(out, header, rows, "simulate", config, {"summary": stats})
+    click.echo(f"wrote {out} ({reps} replications), var(R_hat) = {_f6(summary.var_hat)}")
 
 
 #: Per experiment mode, the flags (and their parameter names) it does not

@@ -10,9 +10,12 @@ budget or budgets, replication count, master seed):
   run_convergence_sweep       optimality gap T * (Var - Q) along a budget
                               sweep
 
-Every Monte Carlo replication, here and in the CLI's ``simulate``, runs
-through one loop, ``_map_replications``, which owns the stream convention:
-replication k at a point draws from
+Every Monte Carlo run, here and in the CLI's ``simulate``, goes through one
+records function, ``simulate_records``, which gives one (R_hat, per-slot
+counts) record per replication of a scheme, and one summary of such
+records, ``summarize_records``. The replications of the hybrid and
+fixed-split schemes run through one loop, ``_map_replications``, which
+owns the stream convention: replication k at a point draws from
 ``replication_rng(master seed, point key, k)``, so sweep points are
 independent and reruns reproduce results exactly. A replication of budget
 T draws exactly T outcomes, the first T uniforms of its stream in draw
@@ -39,6 +42,7 @@ from .adaptive_sampling import (
     pilot_size,
     two_stage_subsystem,
 )
+from .allocation import balanced_allocation
 from .system_model import ReliabilityAssignment, ordered_sum
 from .variance_analysis import (
     Allocation,
@@ -50,6 +54,20 @@ from .variance_analysis import (
 #: The CLI's default replication counts.
 TABLE_REPLICATIONS = 20_000
 SWEEP_REPLICATIONS = 5_000
+
+#: The sampling schemes of ``simulate_records``.
+SCHEMES = ("hybrid", "balanced", "fixed-split")
+
+
+@dataclass(frozen=True)
+class RecordSummary:
+    """What ``summarize_records`` reports about a list of records."""
+
+    mean_r_hat: float
+    var_hat: float
+    se: float
+    mean_block_totals: tuple[float, ...]
+    mean_counts: tuple[tuple[float, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -142,17 +160,6 @@ def empirical_variance(samples) -> tuple[float, float]:
     return var, math.sqrt(max(var_of_var, 0.0))
 
 
-def _estimate_summary(r_hats) -> tuple[float, float, float]:
-    """Mean of the estimates, then ``empirical_variance``'s (var, se).
-
-    The mean is the ``ordered_sum`` of the estimates in replication order,
-    so every driver and the CLI's ``simulate`` report the same bits for the
-    same replications.
-    """
-    var, se = empirical_variance(r_hats)
-    return float(ordered_sum(r_hats) / len(r_hats)), var, se
-
-
 def simulate_fixed_allocation(
     assignment: ReliabilityAssignment, allocation: Allocation, replications: int, rng
 ) -> np.ndarray:
@@ -199,49 +206,71 @@ def _map_replications(
     return results
 
 
-def _hybrid_replications(
-    assignment: ReliabilityAssignment, total: int, replications: int, master_seed: int,
-    point_key: int,
-):
-    """All hybrid replications at one budget: (r_hats, block_totals)."""
-    topology = assignment.topology
-
-    def design(source):
-        result = hybrid_two_stage(source, topology, total)
-        return result.reliability_estimate, result.block_budgets
-
-    outcomes = _map_replications(
-        assignment, replications, master_seed, point_key, design, total
-    )
-    return [o[0] for o in outcomes], [o[1] for o in outcomes]
-
-
 def _require_two_blocks(assignment: ReliabilityAssignment) -> None:
     if assignment.topology.subsystem_count != 2:
         raise AllocationError("the fixed-split design needs exactly two subsystems")
 
 
-def fixed_split_replications(
-    assignment: ReliabilityAssignment, total: int, t1: int, replications: int, master_seed: int
+def simulate_records(
+    assignment: ReliabilityAssignment, scheme: str, total: int, replications: int,
+    master_seed: int, t1: int | None = None, point_key: int = 0,
 ) -> list[tuple[float, tuple[tuple[int, ...], ...]]]:
-    """(R_hat, per-slot counts) of each replication of one fixed split.
+    """(R_hat, per-slot counts) of each replication of one scheme at budget ``total``.
 
-    The component-level two-stage design runs on the first block with
-    budget ``t1`` and on the second with ``total - t1``; ``t1`` is the
-    point key. Two-block systems only, with ``t1`` in 1..total-1.
+    ``hybrid`` runs the hybrid two-stage design at ``point_key``.
+    ``fixed-split`` runs the component-level two-stage design on the first
+    block with budget ``t1`` and on the second with ``total - t1``, at point
+    key ``t1``; two-block systems only, with ``t1`` in 1..total-1.
+    ``balanced`` draws every replication of the equal-share allocation at
+    once from the one stream ``replication_rng(master_seed, point_key, 0)``.
     """
-    _require_two_blocks(assignment)
-    if not 0 < t1 < total:
-        raise AllocationError(f"T1 = {t1} must lie in 1..T-1 for T = {total}")
-    topology = assignment.topology
+    if scheme == "balanced":
+        alloc = balanced_allocation(assignment.topology, total)
+        rng = replication_rng(master_seed, point_key, 0)
+        r_hats = simulate_fixed_allocation(assignment, alloc, replications, rng)
+        return [(r, alloc.counts) for r in r_hats.tolist()]
+    if scheme == "hybrid":
 
-    def design(source):
-        ledger = SampleLedger(topology)
-        two_stage_subsystem(source, 0, t1, ledger)
-        two_stage_subsystem(source, 1, total - t1, ledger)
-        return estimate_reliability(ledger, topology), tuple(tuple(b) for b in ledger.draws)
+        def design(source):
+            result = hybrid_two_stage(source, assignment.topology, total)
+            return result.reliability_estimate, tuple(map(tuple, result.ledger.draws))
 
-    return _map_replications(assignment, replications, master_seed, t1, design, total)
+    elif scheme == "fixed-split":
+        _require_two_blocks(assignment)
+        if t1 is None or not 0 < t1 < total:
+            raise AllocationError(f"T1 = {t1} must lie in 1..T-1 for T = {total}")
+        point_key = t1
+
+        def design(source):
+            ledger = SampleLedger(assignment.topology)
+            two_stage_subsystem(source, 0, t1, ledger)
+            two_stage_subsystem(source, 1, total - t1, ledger)
+            return estimate_reliability(ledger), tuple(map(tuple, ledger.draws))
+
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    return _map_replications(assignment, replications, master_seed, point_key, design, total)
+
+
+def summarize_records(records) -> RecordSummary:
+    """Mean estimate, ``empirical_variance``'s (var, se), and mean counts.
+
+    The mean estimate is the ``ordered_sum`` of the estimates in
+    replication order; each mean count is an integer sum over the records
+    divided once. Every driver and the CLI's ``simulate`` report these
+    bits for the same records.
+    """
+    r_hats, counts = zip(*records)
+    k = len(r_hats)
+    var, se = empirical_variance(r_hats)
+    slot_sums = [[sum(slot) for slot in zip(*block)] for block in zip(*counts)]
+    return RecordSummary(
+        mean_r_hat=float(ordered_sum(r_hats) / k),
+        var_hat=var,
+        se=se,
+        mean_block_totals=tuple(sum(block) / k for block in slot_sums),
+        mean_counts=tuple(tuple(c / k for c in block) for block in slot_sums),
+    )
 
 
 def run_fixed_split_experiment(
@@ -258,22 +287,22 @@ def run_fixed_split_experiment(
     low = pilot_size(total)
     points = []
     for t1 in range(low, total - low + 1):
-        outcomes = fixed_split_replications(assignment, total, t1, replications, master_seed)
-        mean, var, se = _estimate_summary([o[0] for o in outcomes])
+        records = simulate_records(assignment, "fixed-split", total, replications, master_seed, t1)
+        summary = summarize_records(records)
 
         # one exact variance per distinct allocation, in order of first use
         variances = {
             counts: system_variance(assignment, Allocation(assignment.topology, counts))
-            for counts in dict.fromkeys(counts for _, counts in outcomes)
+            for counts in dict.fromkeys(counts for _, counts in records)
         }
-        exact = ordered_sum(variances[counts] for _, counts in outcomes)
+        exact = ordered_sum(variances[counts] for _, counts in records)
         points.append(
             FixedSplitPoint(
                 t1=t1,
                 t2=total - t1,
-                var_hat=var,
-                se=se,
-                mean_r_hat=mean,
+                var_hat=summary.var_hat,
+                se=summary.se,
+                mean_r_hat=summary.mean_r_hat,
                 exact_conditional_mean=exact / replications,
             )
         )
@@ -284,19 +313,18 @@ def run_hybrid_expectation(
     assignment: ReliabilityAssignment, total: int, replications: int, master_seed: int
 ) -> HybridExpectation:
     """Mean realized block budgets (and estimator statistics) under the hybrid design."""
-    r_hats, block_totals = _hybrid_replications(assignment, total, replications, master_seed, 0)
-    mean, var, se = _estimate_summary(r_hats)
-    totals = np.array(block_totals, dtype=float)
-    mean_totals = tuple(float(v) for v in totals.mean(axis=0))
+    records = simulate_records(assignment, "hybrid", total, replications, master_seed)
+    summary = summarize_records(records)
+    mean_t1 = summary.mean_block_totals[0]
     return HybridExpectation(
         total=total,
         replications=replications,
-        mean_block_totals=mean_totals,
-        mean_t1=mean_totals[0],
-        rounded_t1=round(mean_totals[0]),
-        var_hat=var,
-        se=se,
-        mean_r_hat=mean,
+        mean_block_totals=summary.mean_block_totals,
+        mean_t1=mean_t1,
+        rounded_t1=round(mean_t1),
+        var_hat=summary.var_hat,
+        se=summary.se,
+        mean_r_hat=summary.mean_r_hat,
     )
 
 
@@ -306,17 +334,19 @@ def run_convergence_sweep(
     """Optimality gap T * (Var - Q) at each budget; a budget is its own point key."""
     points = []
     for total in budgets:
-        r_hats, _ = _hybrid_replications(assignment, total, replications, master_seed, total)
-        mean, var, se = _estimate_summary(r_hats)
+        records = simulate_records(
+            assignment, "hybrid", total, replications, master_seed, point_key=total
+        )
+        summary = summarize_records(records)
         q = lower_bound_system(assignment, total)
         points.append(
             SweepPoint(
                 total=total,
-                var_hat=var,
-                se=se,
+                var_hat=summary.var_hat,
+                se=summary.se,
                 q_bound=q,
-                excess=total * (var - q),
-                mean_r_hat=mean,
+                excess=total * (summary.var_hat - q),
+                mean_r_hat=summary.mean_r_hat,
             )
         )
     return points

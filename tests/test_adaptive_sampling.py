@@ -26,7 +26,7 @@ from relialloc.adaptive_sampling import (
     plan_block_targets,
 )
 from relialloc.cases import load_case
-from relialloc.experiments import fixed_split_replications
+from relialloc.experiments import simulate_records
 from relialloc.variance_analysis import Allocation, AllocationError
 
 from conftest import random_assignment
@@ -346,7 +346,8 @@ class TestDecisionCaches:
     @pytest.mark.parametrize("t1", [4, 10, 16])
     def test_fixed_split_replications_do_not_depend_on_the_caches(self, monkeypatch, t1):
         cold, warm, uncached = _cold_warm_uncached(
-            monkeypatch, lambda: fixed_split_replications(load_case("A"), 20, t1, 30, 13)
+            monkeypatch,
+            lambda: simulate_records(load_case("A"), "fixed-split", 20, 30, 13, t1),
         )
         assert cold == warm == uncached
 
@@ -398,22 +399,22 @@ class TestEstimateReliability:
 
     def test_all_successes(self):
         a, ledger = self.make_ledger([[0.5, 0.5]], [[4, 4]], [[4, 4]])
-        assert estimate_reliability(ledger, a.topology) == pytest.approx(1.0)
+        assert estimate_reliability(ledger) == pytest.approx(1.0)
 
     def test_mirrors_structure_formula(self):
         a, ledger = self.make_ledger(
             [[0.5, 0.5], [0.5, 0.5]], [[10, 10], [10, 10]], [[5, 5], [5, 5]]
         )
-        assert estimate_reliability(ledger, a.topology) == pytest.approx(0.5625)
+        assert estimate_reliability(ledger) == pytest.approx(0.5625)
 
     def test_single_slot_sample_mean(self):
         a, ledger = self.make_ledger([[0.5]], [[10]], [[3]])
-        assert estimate_reliability(ledger, a.topology) == pytest.approx(0.3)
+        assert estimate_reliability(ledger) == pytest.approx(0.3)
 
     def test_zero_draw_slot_rejected(self):
         a, ledger = self.make_ledger([[0.5, 0.5]], [[10, 0]], [[5, 0]])
         with pytest.raises(ValueError):
-            estimate_reliability(ledger, a.topology)
+            estimate_reliability(ledger)
 
 
 class TestSources:

@@ -1,9 +1,11 @@
+import ast
 import json
 import re
 
 import pytest
 from click.testing import CliRunner
 
+import relialloc.cli
 from relialloc import run_fixed_split_experiment, run_hybrid_expectation
 from relialloc.cases import load_case
 from relialloc.cli import main
@@ -309,7 +311,7 @@ class TestSimulate:
         def broken(*args, **kwargs):
             raise ValueError("an internal fault")
 
-        monkeypatch.setattr("relialloc.cli.hybrid_two_stage", broken)
+        monkeypatch.setattr("relialloc.experiments.hybrid_two_stage", broken)
         result = runner.invoke(main, SIMULATE + ["--out", str(tmp_path / "x.csv")])
         assert result.exit_code != 3
         assert isinstance(result.exception, ValueError)
@@ -458,3 +460,18 @@ class TestExperiment:
              "--out", str(tmp_path / "x.csv")],
         )
         assert result.exit_code == 2
+
+
+def test_cli_imports_no_private_package_name():
+    # The CLI is a shell over the library's public names; dunders such as
+    # __version__ are not private.
+    tree = ast.parse(open(relialloc.cli.__file__).read())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("relialloc"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []

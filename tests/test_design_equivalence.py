@@ -146,7 +146,7 @@ def test_estimate_reliability_matches_the_former_loop():
             ledger.draws[j][rng.randrange(ledger.topology.block_sizes[j])] = 0
         topology = ledger.topology
         expected = _outcome(ref_estimate_reliability, ledger, topology)
-        assert _outcome(estimate_reliability, ledger, topology) == expected
+        assert _outcome(estimate_reliability, ledger) == expected
 
 
 @pytest.mark.parametrize("success", [0, 1])
@@ -159,7 +159,7 @@ def test_all_failure_and_all_success_ledgers(success):
             block_successes[i] = 5 * success
     draws = tuple(map(tuple, ledger.draws))
     successes = tuple(map(tuple, ledger.successes))
-    assert estimate_reliability(ledger, topology) == float(success)
+    assert estimate_reliability(ledger) == float(success)
     assert ref_estimate_reliability(ledger, topology) == float(success)
     budgets = adaptive_sampling._block_budgets.__wrapped__(400, draws, successes)
     assert budgets == ref_block_budgets(400, draws, successes)

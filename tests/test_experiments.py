@@ -20,12 +20,11 @@ from relialloc import (
 )
 from relialloc.cases import load_case
 from relialloc.experiments import (
-    _estimate_summary,
-    _hybrid_replications,
     _map_replications,
     convergence_rows,
-    fixed_split_replications,
     fixed_split_rows,
+    simulate_records,
+    summarize_records,
     table_rows,
 )
 
@@ -64,19 +63,63 @@ class TestEstimateSummary:
     def test_mean_adds_in_index_order(self):
         # numpy's pairwise mean gives 0.33689999999999987 on this sample
         xs = [0.1] * 10 + [0.7] * 13 + [1e-3] * 7
-        mean, var, se = _estimate_summary(xs)
-        assert mean == index_order_mean(xs) == 0.3368999999999998
-        assert (var, se) == empirical_variance(xs)
+        summary = summarize_records([(x, ((1,),)) for x in xs])
+        assert summary.mean_r_hat == index_order_mean(xs) == 0.3368999999999998
+        assert (summary.var_hat, summary.se) == empirical_variance(xs)
 
     def test_every_driver_reports_the_index_order_mean(self):
         a = load_case("D")
-        hybrid, _ = _hybrid_replications(a, 20, 40, 6, 0)
+        hybrid = [r for r, _ in simulate_records(a, "hybrid", 20, 40, 6)]
         assert run_hybrid_expectation(a, 20, 40, 6).mean_r_hat == index_order_mean(hybrid)
-        swept, _ = _hybrid_replications(a, 20, 40, 6, 20)
+        swept = [r for r, _ in simulate_records(a, "hybrid", 20, 40, 6, point_key=20)]
         assert run_convergence_sweep(a, [20], 40, 6)[0].mean_r_hat == index_order_mean(swept)
         point = run_fixed_split_experiment(a, 20, 40, 6)[0]
-        split = [r for r, _ in fixed_split_replications(a, 20, point.t1, 40, 6)]
+        split = [r for r, _ in simulate_records(a, "fixed-split", 20, 40, 6, point.t1)]
         assert point.mean_r_hat == index_order_mean(split)
+
+
+class TestSimulateRecords:
+    @pytest.mark.parametrize(
+        "scheme,t1", [("hybrid", None), ("balanced", None), ("fixed-split", 7)]
+    )
+    def test_one_record_per_replication_spending_the_budget(self, scheme, t1):
+        a = load_case("C")
+        records = simulate_records(a, scheme, 20, 12, 3, t1)
+        assert len(records) == 12
+        for r_hat, counts in records:
+            assert isinstance(r_hat, float)
+            assert sum(map(sum, counts)) == 20
+            assert tuple(map(len, counts)) == a.topology.block_sizes
+        if scheme == "fixed-split":
+            assert {tuple(map(sum, counts)) for _, counts in records} == {(7, 13)}
+
+    def test_unknown_scheme_and_missing_t1_are_rejected(self):
+        with pytest.raises(ValueError, match="unknown scheme 'adaptive'"):
+            simulate_records(load_case("A"), "adaptive", 20, 2, 5)
+        with pytest.raises(AllocationError, match="T1 = None"):
+            simulate_records(load_case("A"), "fixed-split", 20, 2, 5)
+
+    def test_summary_equals_the_drivers_bit_for_bit(self):
+        a = load_case("B")
+        hybrid = summarize_records(simulate_records(a, "hybrid", 20, 50, 8))
+        expected = run_hybrid_expectation(a, 20, 50, 8)
+        assert hybrid.mean_block_totals == expected.mean_block_totals
+        assert (hybrid.mean_r_hat, hybrid.var_hat, hybrid.se) == (
+            expected.mean_r_hat, expected.var_hat, expected.se
+        )
+        point = run_fixed_split_experiment(a, 20, 50, 8)[3]
+        split = summarize_records(simulate_records(a, "fixed-split", 20, 50, 8, point.t1))
+        assert (split.mean_r_hat, split.var_hat, split.se) == (
+            point.mean_r_hat, point.var_hat, point.se
+        )
+        assert split.mean_block_totals == (point.t1, point.t2)
+
+    def test_mean_counts_divide_integer_sums_once(self):
+        records = [(0.5, ((1, 2), (4,))), (0.25, ((2, 2), (3,))), (0.0, ((1, 3), (3,)))]
+        summary = summarize_records(records)
+        assert summary.mean_counts == ((4 / 3, 7 / 3), (10 / 3,))
+        assert summary.mean_block_totals == (11 / 3, 10 / 3)
+        assert summary.mean_r_hat == 0.75 / 3
 
 
 class TestFixedAllocationOracle:
@@ -118,12 +161,12 @@ class TestFixedSplitExperiment:
         with pytest.raises(ValueError, match="two subsystems"):
             run_fixed_split_experiment(a, 1, 2, 5)
         with pytest.raises(ValueError, match="two subsystems"):
-            fixed_split_replications(a, 20, 10, 2, 5)
+            simulate_records(a, "fixed-split", 20, 2, 5, 10)
 
     @pytest.mark.parametrize("t1", [0, 20, 25])
     def test_split_outside_the_budget_names_t1_and_t(self, t1):
         with pytest.raises(AllocationError, match=f"T1 = {t1} .* T = 20"):
-            fixed_split_replications(load_case("A"), 20, t1, 2, 5)
+            simulate_records(load_case("A"), "fixed-split", 20, 2, 5, t1)
 
 
 class TestMapReplications:

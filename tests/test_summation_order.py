@@ -36,7 +36,7 @@ from relialloc import (
 )
 from relialloc.allocation import balanced_allocation
 from relialloc.cases import available, load_case
-from relialloc.experiments import _estimate_summary
+from relialloc.experiments import summarize_records
 from relialloc.system_model import ordered_sum
 
 BUILTIN_SUM = builtins.sum
@@ -108,7 +108,9 @@ PATHS = {
     "run_fixed_split_experiment": lambda: run_fixed_split_experiment(CASE_A, 12, 20, 3),
     "run_hybrid_expectation": lambda: run_hybrid_expectation(CASE_A, 20, 20, 3),
     "run_convergence_sweep": lambda: run_convergence_sweep(CHAIN, [25, 36], 10, 3),
-    "_estimate_summary": lambda: _estimate_summary([0.1, 0.2, 0.7, 1e-17]),
+    "summarize_records": lambda: summarize_records(
+        [(r, ((1, 2), (3,))) for r in (0.1, 0.2, 0.7, 1e-17)]
+    ),
 }
 
 
