@@ -97,14 +97,15 @@ class BernoulliSource:
 #: the list wins while a block is short for the requests made on it.
 #: Measured per hybrid replication with warm decision caches, list
 #: against array-only blocks, alternating in one process (8 rounds,
-#: medians; 2-core Xeon, Python 3.11.7, numpy 2.4.6): cases A-D at T=20
-#: 33-48 us, the list 1-4% faster (6-7 of 8 rounds); cases A and C 5-8%
-#: faster at T=100 and 3% slower at T=200; 18% slower at T=400 (A and C
-#: 51/43 and 54/46 us). The 14-slot chain: 7% faster at T=100 and T=200,
-#: 8% slower at T=400 (83/76 us). Above this bound both run the array, and
-#: the same A/B there read within 3%. The crossover sits between 100 and
-#: 400 uniforms; no benchmark workload runs near it.
-LIST_BLOCK_MAX = 512
+#: medians; 2-core Xeon, Python 3.11.7, numpy 2.4.6): cases A and C, the
+#: list 6-10% faster at T=20 and 4-9% faster at T=100 (6-8 of 8 rounds),
+#: within 1% at T=125, between 2% faster and 3% slower at T=150, 2-9%
+#: slower at T=200, 14-19% at T=300 and 21-31% at T=400 (A 42/32 us). The
+#: 14-slot chain: the list 3-4% faster at T=100 and T=200, within 3% at
+#: T=150, 3% slower at T=300 and 20% at T=400 (97/81 us). The crossover
+#: sits near 128 uniforms for A and C and between 200 and 300 for the
+#: chain; no benchmark workload runs near it (T=20 and T=6400).
+LIST_BLOCK_MAX = 128
 
 #: The request-length crossover on a numpy block, in uniforms. A request
 #: up to this length is counted by a list scan of its slice's
@@ -335,21 +336,6 @@ def plan_block_targets(cv_inverses, budget: int, floors) -> tuple[int, ...]:
     return integerize(component_fractions(cv_inverses), budget, floors)
 
 
-def _top_up(
-    source: BernoulliSource, j: int, draws: list[int], successes: list[int], targets
-) -> None:
-    """Draw every slot of block j that is below its target up to it, updating
-    the ledger's per-block lists in place."""
-    for i, target in enumerate(targets):
-        need = target - draws[i]
-        if need > 0:
-            got = source.draw_many(i, j, need)
-            if not 0 <= got <= need:
-                raise ValueError(f"source returned {got} successes in {need} draws")
-            draws[i] = target
-            successes[i] += got
-
-
 def two_stage_subsystem(
     source: BernoulliSource, j: int, budget: int, ledger: SampleLedger
 ) -> tuple[int, ...]:
@@ -370,15 +356,30 @@ def two_stage_subsystem(
         )
     pilot = _block_pilot(budget, tuple(draws))
 
-    # Stage 1: top every slot up to the pilot size.
-    _top_up(source, j, draws, successes, [pilot] * len(draws))
+    # Stage 1: top every slot up to the pilot size, totalling as it goes.
+    spent = 0
+    for i, have in enumerate(draws):
+        if have < pilot:
+            got = source.draw_many(i, j, pilot - have)
+            if not 0 <= got <= pilot - have:
+                raise ValueError(f"source returned {got} successes in {pilot - have} draws")
+            draws[i] = have = pilot
+            successes[i] += got
+        spent += have
     # Draws that fill the budget are the only allocation their floors allow.
-    if sum(draws) == budget:
+    if spent == budget:
         return tuple(draws)
 
-    # Stage 2: allocate the rest by estimated inverse cv, then top up. The
-    # pooled draws are the floors.
-    _top_up(source, j, draws, successes, _block_targets(budget, tuple(draws), tuple(successes)))
+    # Stage 2: allocate the rest by estimated inverse cv, then top every
+    # slot up to its target. The pooled draws are the floors.
+    for i, target in enumerate(_block_targets(budget, tuple(draws), tuple(successes))):
+        need = target - draws[i]
+        if need > 0:
+            got = source.draw_many(i, j, need)
+            if not 0 <= got <= need:
+                raise ValueError(f"source returned {got} successes in {need} draws")
+            draws[i] = target
+            successes[i] += got
     return tuple(draws)
 
 

@@ -20,7 +20,9 @@ from relialloc import (
 )
 from relialloc.cases import load_case
 from relialloc.experiments import (
+    STREAM_CHUNK,
     _map_replications,
+    _stream_states,
     convergence_rows,
     fixed_split_rows,
     simulate_records,
@@ -219,6 +221,61 @@ class TestReplicationRng:
         key[position] = -1
         with pytest.raises(ValueError):
             replication_rng(*key)
+
+
+def seed_sequence_state(*key):
+    return np.random.PCG64(np.random.SeedSequence(key)).state
+
+
+class TestStreamDerivation:
+    """The vectorised derivation gives ``SeedSequence``'s streams bit for bit.
+
+    NEP 19 keeps these streams stable across numpy versions, but the
+    derivation re-implements them, so these tests hold it to numpy's own
+    ``SeedSequence`` on every numpy the package allows.
+    """
+
+    @pytest.mark.parametrize("replications", [0, 1, STREAM_CHUNK + 1])
+    @pytest.mark.parametrize("total", [0, 1, 20, 6400])
+    def test_each_replication_draws_its_seed_sequence_uniforms(self, total, replications):
+        # seed and key of two and three words: six entropy words in all
+        seed, key = 2**32, 2**64 + 7
+        results = _map_replications(
+            load_case("A"), replications, seed, key, lambda s: s.rng.random(total).tobytes(), 0
+        )
+        expected = [
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, key, k))))
+            .random(total)
+            .tobytes()
+            for k in range(replications)
+        ]
+        assert results == expected
+
+    @pytest.mark.parametrize("key", SEED_VALUES)
+    @pytest.mark.parametrize("seed", SEED_VALUES)
+    def test_every_word_layout_across_a_chunk_boundary(self, seed, key):
+        states = list(_stream_states(seed, key, 0, STREAM_CHUNK + 1))
+        for k in (0, 1, STREAM_CHUNK - 1, STREAM_CHUNK):
+            assert states[k] == seed_sequence_state(seed, key, k), k
+        assert len(states) == STREAM_CHUNK + 1
+
+    @pytest.mark.parametrize("start", [2**32 - 2, 2**32 + 7, 2**64 - 2, 2**96 + 1])
+    def test_indices_of_two_words_and_more(self, start):
+        # the first two cross from one word count to the next
+        states = list(_stream_states(5, 6, start, 4))
+        assert states == [seed_sequence_state(5, 6, k) for k in range(start, start + 4)]
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_a_negative_entry_raises_before_any_design_runs(self, position):
+        key = [3, 4, 0]
+        key[position] = -1
+        calls = []
+        with pytest.raises(ValueError, match="nonnegative"):
+            if position < 2:
+                _map_replications(load_case("A"), 2, key[0], key[1], calls.append, 0)
+            else:
+                next(_stream_states(*key, 2))
+        assert calls == []
 
 
 class TestHybridExpectation:

@@ -12,10 +12,14 @@ each entry of ``RUNS``) only for a deliberate change of the outputs.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 from click.testing import CliRunner
+from test_summation_order import compensated_sum
 
+from relialloc import allocation, rule_allocation, system_model
+from relialloc.cases import load_case
 from relialloc.cli import main
 
 RUNS = {
@@ -24,7 +28,8 @@ RUNS = {
         "--reps", "200", "--seed", "11",
     ],
     # T=6400 puts each replication's uniforms on the numpy-array side of
-    # adaptive_sampling.LIST_BLOCK_MAX; every other run is on the list side.
+    # adaptive_sampling.LIST_BLOCK_MAX, as do T=400 above and the sweep's
+    # T=200 and 300 below; the T <= 100 runs are on the list side.
     "simulate-hybrid-6400": [
         "simulate", "case:chain_2_3_4_5", "--T", "6400", "--scheme", "hybrid",
         "--reps", "20", "--seed", "11",
@@ -95,3 +100,45 @@ def _digests(args, out_dir):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_outputs_match_golden_digests(name, threads, tmp_path):
     assert _digests(RUNS[name] + ["--threads", threads], tmp_path) == GOLDEN[name]
+
+
+#: The smallest budget at which the rule allocation of the chain depends on
+#: how its float sums round. Added with Python 3.12's compensated ``sum()``
+#: (``test_summation_order.compensated_sum``), only block 3's inverse-cv
+#: sum moves, in its last bit, and block 3's budget of 188105493 is the
+#: smallest it splits differently: (37609152, 42644771, ...) in place of
+#: (37609153, 42644770, ...). Found by scanning block budgets under the
+#: emulation; one unit of T less gives block 3 a budget of 188105492.
+CHAIN_SUM_BUDGET = 16_814_575_225
+
+#: SHA-256 of the standard output of ``allocate`` and of ``evaluate`` on
+#: that allocation, at ``CHAIN_SUM_BUDGET``.
+CHAIN_GOLDEN = (
+    "367f627dac976607c4cbfe8092223132d4db91dbfe69ecf295b033d55e796a87",
+    "5f252ab52f715818a1617f98393f2e83004da74f39097142d56d6df82572fe1d",
+)
+
+
+def test_chain_allocation_at_a_sum_sensitive_budget_matches_golden_digests(tmp_path):
+    chain = "case:chain_2_3_4_5"
+    runner = CliRunner()
+    allocate = runner.invoke(main, ["allocate", chain, "--T", str(CHAIN_SUM_BUDGET)])
+    path = tmp_path / "allocation.json"
+    counts = rule_allocation(load_case("chain_2_3_4_5"), CHAIN_SUM_BUDGET).counts
+    path.write_text(json.dumps({"blocks": counts}))
+    evaluate = runner.invoke(main, ["evaluate", chain, "--allocation", str(path)])
+    assert allocate.exit_code == 0 and evaluate.exit_code == 0
+    digests = tuple(hashlib.sha256(r.output.encode()).hexdigest() for r in (allocate, evaluate))
+    assert digests == CHAIN_GOLDEN
+
+
+def test_a_compensated_sum_changes_the_chain_counts_at_that_budget_not_below(monkeypatch):
+    chain = load_case("chain_2_3_4_5")
+    budgets = (CHAIN_SUM_BUDGET - 1, CHAIN_SUM_BUDGET)
+    before = [rule_allocation(chain, t).counts for t in budgets]
+    for module in (system_model, allocation):
+        monkeypatch.setattr(module, "ordered_sum", compensated_sum)
+    after = [rule_allocation(chain, t).counts for t in budgets]
+    assert after[0] == before[0]
+    assert after[1][2] == (37609152, 42644771, 49241939, 58609631)
+    assert before[1][2] == (37609153, 42644770, 49241939, 58609631)
