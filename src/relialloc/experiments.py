@@ -20,8 +20,9 @@ stream of ``replication_rng(master seed, point key, k)``, which is
 ``Generator(PCG64(SeedSequence((master seed, point key, k))))``, so sweep
 points are independent and reruns reproduce results exactly. The loop
 derives the PCG64 states of a whole point in one vectorised pass
-(``_stream_states``: ``SeedSequence``'s hashing and PCG64's seeding step
-as uint32 and uint64 array arithmetic, in bounded chunks), sets each on
+(``_stream_states``: ``SeedSequence``'s hashing as uint32 array
+arithmetic and PCG64's seeding step on Python integers, in bounded
+chunks), sets each on
 one generator in turn, and never builds a ``SeedSequence``; tests hold
 the derived streams equal to ``SeedSequence``'s bit for bit.
 ``replication_rng`` is the one-replication case of the same derivation.
@@ -118,12 +119,9 @@ class HybridExpectation:
 
 _WORD = 0xFFFFFFFF
 #: ``SeedSequence``'s hash constants and PCG64's 128-bit multiplier, as
-#: numpy defines them (``numpy/random/bit_generator.pyx``, ``pcg64.h``),
-#: and the 32-bit limbs, low first, of 1 and of the multiplier as columns.
+#: numpy defines them (``numpy/random/bit_generator.pyx``, ``pcg64.h``).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
-_ONE = np.array([[1], [0], [0], [0]], np.uint64)
-_PCG_LIMBS = np.array([_PCG_MULT >> 32 * i & _WORD for i in range(4)], np.uint64)[:, None]
 
 #: Replications whose streams are derived in one vectorised pass, so
 #: memory stays bounded whatever the replication count. A pass costs about
@@ -161,26 +159,13 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ result >> 16
 
 
-def _carry(columns: np.ndarray) -> np.ndarray:
-    """Rows of 32-bit limbs, low first, of the numbers whose column sums
-    these are, mod 2**128; ``columns`` is reused."""
-    for i in range(3):
-        columns[i + 1] += columns[i] >> 32
-    return columns & _WORD
-
-
-def _join(limbs: np.ndarray) -> list[int]:
-    high, low = (limbs[2] | limbs[3] << 32).tolist(), (limbs[0] | limbs[1] << 32).tolist()
-    return [h << 64 | lo for h, lo in zip(high, low)]
-
-
 def _pcg64_states(entropy: list[np.ndarray]) -> tuple[list[int], list[int]]:
     """PCG64's (state, inc) after ``PCG64(SeedSequence(words))``, as two lists, for
     each column of uint32 entropy words.
 
     ``SeedSequence.mix_entropy`` into a pool of four words, then
-    ``generate_state(4, uint64)``, then PCG64's seeding step on 128-bit
-    numbers held as 32-bit limbs in uint64 rows.
+    ``generate_state(4, uint64)``, both as uint32 array arithmetic, then
+    PCG64's seeding step on Python integers.
     """
     constants = _hash_constants(_INIT_A, _MULT_A)
     pool = [_hash(word, constants) for word in (entropy + [0 * entropy[0]] * 3)[:4]]
@@ -189,19 +174,17 @@ def _pcg64_states(entropy: list[np.ndarray]) -> tuple[list[int], list[int]]:
     for word, dst in itertools.product(entropy[4:], range(4)):
         pool[dst] = _mix(pool[dst], _hash(word, constants))
     constants = _hash_constants(_INIT_B, _MULT_B)
-    words = [_hash(word, constants) for word in pool * 2]
-    # These are the 32-bit halves, low first, of the four uint64 words:
-    # state high, state low, sequence high, sequence low. Modulo 2**128,
-    # inc = 2 * sequence + 1 and state = (inc + state) * mult + inc.
-    seq = np.array(words[6:] + words[4:6], np.uint64)
-    inc = _carry(seq + seq + _ONE)
-    x = _carry(inc + np.array(words[2:4] + words[:2], np.uint64))
-    columns = inc.copy()
-    for i in range(4):
-        product = x[i] * _PCG_LIMBS[: 4 - i]
-        columns[i:] += product & _WORD
-        columns[i + 1 :] += product[: 3 - i] >> 32
-    return _join(_carry(columns)), _join(inc)
+    halves = np.array([_hash(word, constants) for word in pool * 2], np.uint64)
+    # Joined low half first, the four uint64 words are state high, state
+    # low, sequence high and sequence low. Modulo 2**128,
+    # inc = 2 * sequence + 1 and state = (seed + inc) * mult + inc.
+    seed_hi, seed_lo, seq_hi, seq_lo = (halves[::2] | halves[1::2] << 32).tolist()
+    incs = [(hi << 65 | lo << 1 | 1) % 2**128 for hi, lo in zip(seq_hi, seq_lo)]
+    states = [
+        (((hi << 64 | lo) + inc) * _PCG_MULT + inc) % 2**128
+        for hi, lo, inc in zip(seed_hi, seed_lo, incs)
+    ]
+    return states, incs
 
 
 def _stream_states(master_seed: int, point_key: int, start: int, count: int):
