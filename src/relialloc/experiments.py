@@ -13,18 +13,18 @@ budget or budgets, replication count, master seed):
 Every Monte Carlo run, here and in the CLI's ``simulate``, goes through one
 records function, ``simulate_records``, which gives one (R_hat, per-slot
 counts) record per replication of a scheme, and one summary of such
-records, ``summarize_records``. The replications of the hybrid and
-fixed-split schemes run through one loop, ``_map_replications``, which
-owns the stream convention: replication k at a point draws from the
+records, ``summarize_records``. Every scheme is a design, and the
+replications of every design run through one loop, ``_map_replications``,
+which owns the stream convention: replication k at a point draws from the
 stream of ``replication_rng(master seed, point key, k)``, which is
 ``Generator(PCG64(SeedSequence((master seed, point key, k))))``, so sweep
-points are independent and reruns reproduce results exactly. The loop
-derives the PCG64 states of a whole point in one vectorised pass
+points are independent, replication k's record does not depend on the
+replication count, and reruns reproduce results exactly. The loop derives
+the PCG64 states of a whole point in one vectorised pass
 (``_stream_states``: ``SeedSequence``'s hashing as uint32 array
-arithmetic and PCG64's seeding step on Python integers, in bounded
-chunks), sets each on
-one generator in turn, and never builds a ``SeedSequence``; tests hold
-the derived streams equal to ``SeedSequence``'s bit for bit.
+arithmetic, PCG64's seeding step on Python integers, in bounded chunks),
+sets each on one generator in turn, and never builds a ``SeedSequence``;
+tests hold the derived streams equal to ``SeedSequence``'s bit for bit.
 ``replication_rng`` is the one-replication case of the same derivation.
 A replication of budget T draws exactly T outcomes, the first T uniforms
 of its stream in draw order; the loop takes them as one block and checks
@@ -81,7 +81,13 @@ class RecordSummary:
 
 @dataclass(frozen=True)
 class FixedSplitPoint:
-    """Summary for one first-block budget in the fixed-split experiment."""
+    """Summary for one first-block budget in the fixed-split experiment.
+
+    ``exact_conditional_mean`` is the mean over replications of
+    ``system_variance`` at each replication's realized allocation M,
+    E[V(M)]. It is not Var(R_hat | M): given M, the pilot outcomes that
+    chose M are not binomial.
+    """
 
     t1: int
     t2: int
@@ -243,9 +249,12 @@ def simulate_fixed_allocation(
 ) -> np.ndarray:
     """Vectorized replication of the estimator under a fixed allocation.
 
-    Success counts per slot are binomial draws, which is distributionally
-    identical to summing individual Bernoulli outcomes. Returns one
-    reliability estimate per replication.
+    Success counts per slot are binomial draws from the one stream
+    ``rng``, which is distributionally identical to summing individual
+    Bernoulli outcomes. Returns one reliability estimate per replication.
+    No CLI run calls it: the balanced scheme of ``simulate_records`` draws
+    per-replication streams. It is the fast one-stream reference against
+    which tests and acceptance criterion 1 check the exact variance.
     """
     allocation.require_positive()
     r_hat = np.ones(replications)
@@ -304,16 +313,24 @@ def simulate_records(
     ``fixed-split`` runs the component-level two-stage design on the first
     block with budget ``t1`` and on the second with ``total - t1``, at point
     key ``t1``; two-block systems only, with ``t1`` in 1..total-1.
-    ``balanced`` draws every replication of the equal-share allocation at
-    once from the one stream ``replication_rng(master_seed, point_key, 0)``.
+    ``balanced`` takes each slot's count of the equal-share allocation at
+    ``point_key``, block by block and within a block in component order.
+    All three run through ``_map_replications``, so record k depends on
+    ``master_seed``, the point key and k, not on ``replications``.
     """
-    if scheme == "balanced":
-        alloc = balanced_allocation(assignment.topology, total)
-        rng = replication_rng(master_seed, point_key, 0)
-        r_hats = simulate_fixed_allocation(assignment, alloc, replications, rng)
-        return [(r, alloc.counts) for r in r_hats.tolist()]
     intern = {}.setdefault  # equal count tuples of one call share one object
-    if scheme == "hybrid":
+    if scheme == "balanced":
+        counts = balanced_allocation(assignment.topology, total).counts
+
+        def design(source):
+            ledger = SampleLedger(assignment.topology)
+            for j, block in enumerate(counts):
+                for i, m in enumerate(block):
+                    ledger.draws[j][i] = m
+                    ledger.successes[j][i] = source.draw_many(i, j, m)
+            return estimate_reliability(ledger), counts
+
+    elif scheme == "hybrid":
 
         def design(source):
             result = hybrid_two_stage(source, assignment.topology, total)
@@ -366,8 +383,10 @@ def run_fixed_split_experiment(
 
     For each split (T1, T - T1) with T1 from the pilot floor up to the
     mirrored floor, the component-level two-stage design runs independently
-    on each block. The exact variance conditioned on the realized
-    allocations is reported alongside the Monte Carlo variance.
+    on each block. Beside the Monte Carlo variance each point reports
+    E[V(M)], the mean over replications of ``system_variance`` at the
+    realized allocation M. That is not the variance conditioned on the
+    realized allocations.
     """
     _require_two_blocks(assignment)
     low = pilot_size(total)

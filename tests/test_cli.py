@@ -237,6 +237,26 @@ class TestSimulate:
         lines = out.read_text().splitlines()
         assert lines[1].split(",")[2:] == ["20", "20", "10", "10", "10", "10"]
 
+    @pytest.mark.parametrize(
+        "scheme", [["hybrid"], ["balanced"], ["fixed-split", "--T1", "8"]],
+        ids=["hybrid", "balanced", "fixed-split"],
+    )
+    def test_replication_rows_do_not_depend_on_the_replication_count(
+        self, runner, tmp_path, scheme
+    ):
+        rows = []
+        for reps in ("10", "20"):
+            out = tmp_path / f"reps{reps}.csv"
+            result = runner.invoke(
+                main,
+                ["simulate", "case:A", "--T", "40", "--scheme", *scheme, "--reps", reps,
+                 "--seed", "3", "--out", str(out)],
+            )
+            assert result.exit_code == 0, result.output
+            rows.append(out.read_text().splitlines()[1:-1])
+        assert len(rows[1]) == 20
+        assert rows[1][:10] == rows[0]
+
     def test_fixed_split_scheme_requires_t1(self, runner, tmp_path):
         out = tmp_path / "fs.csv"
         result = runner.invoke(

@@ -8,8 +8,11 @@ from relialloc import (
     Allocation,
     AllocationError,
     ReliabilityAssignment,
+    SampleLedger,
     SimulatedSource,
+    balanced_allocation,
     empirical_variance,
+    estimate_reliability,
     lower_bound_system,
     replication_rng,
     run_convergence_sweep,
@@ -94,6 +97,26 @@ class TestSimulateRecords:
             assert tuple(map(len, counts)) == a.topology.block_sizes
         if scheme == "fixed-split":
             assert {tuple(map(sum, counts)) for _, counts in records} == {(7, 13)}
+
+    @pytest.mark.parametrize("case,seed", [("A", 3), ("chain_2_3_4_5", 11)])
+    def test_balanced_counts_successes_in_block_major_draw_order(self, case, seed):
+        # Draw d succeeds when uniform d of replication k's stream falls
+        # below its slot's reliability; slots take their draws block by
+        # block, and within a block in component order.
+        a = load_case(case)
+        total = 40
+        records = simulate_records(a, "balanced", total, 6, seed)
+        counts = balanced_allocation(a.topology, total).counts
+        for k in (0, 1, 5):
+            uniforms = iter(replication_rng(seed, 0, k).random(total).tolist())
+            ledger = SampleLedger(a.topology)
+            for j, block in enumerate(counts):
+                for i, m in enumerate(block):
+                    draws = list(itertools.islice(uniforms, m))
+                    ledger.draws[j][i] = m
+                    ledger.successes[j][i] = sum(u < a.values[j][i] for u in draws)
+            assert next(uniforms, None) is None
+            assert records[k] == (estimate_reliability(ledger), counts)
 
     def test_unknown_scheme_and_missing_t1_are_rejected(self):
         with pytest.raises(ValueError, match="unknown scheme 'adaptive'"):

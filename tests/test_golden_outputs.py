@@ -4,9 +4,11 @@ Each run writes a CSV and its ``.meta.json`` sidecar; both must hash to the
 digests below, with ``--threads 1`` and with ``--threads 3``. A faster
 replication engine or a refactor of the designs must make exactly the
 same decisions from the same random streams, so it must leave every digest
-unchanged. The digests depend on numpy's PCG64 ``Generator.random`` and
-``Generator.binomial`` streams. Regenerate them (print ``_digests`` for
-each entry of ``RUNS``) only for a deliberate change of the outputs.
+unchanged. The digests depend on numpy's PCG64 ``Generator.random`` streams
+only: every scheme draws uniforms, one replication stream at a time, and
+no CLI run calls a numpy distribution algorithm such as
+``Generator.binomial``. Regenerate them (print ``_digests`` for each entry
+of ``RUNS``) only for a deliberate change of the outputs.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ GOLDEN = {
         "98661e0bb588b575c91d4854ee64072fed3b8eed52b987bbe4bdb09edc14d836",
     ),
     "simulate-balanced": (
-        "de3bfc088a6359f62e194fe1e8107965cb4af73d6a367fe9c6de43c2368f29f9",
-        "dcfa77169af09d65c5aaae12f72280cda8c8f1c64e3db101d17d16202a2e9148",
+        "cefb11c25e65d623012d28d3aa21e78b08344e209769446d66012c8d3684a2bb",
+        "16bdd719bf1a456b826bee390151eb211c03bca7237dc70eb94a4b09e4718472",
     ),
     "simulate-fixed-split": (
         "51d132b10438ca128dff620aa20f6fcc9aed2a5ba7ad32244cee7b5bbd43380a",
