@@ -30,17 +30,26 @@ the number of successes in the next ``count`` outcomes of slot (i, j).
 ``SimulatedSource`` simulates them from a seeded stream, ``ReplaySource``
 counts them off recorded queues.
 
+Every stage has one shape: decision, targets, top-up. A decision gives
+each slot of a block a target count, and one top-up step (``_top_up``)
+draws every slot below its target up to it, in slot order, checks that
+the source returned between 0 and that many successes, and adds both to
+the ledger. Stage 1's decision is the pilot targets, stage 2's the
+estimated targets; the experiments' balanced scheme draws the
+equal-share counts through the same step.
+
 A single replication is strictly sequential. Distinct replications own
 their ledgers and random streams, so each depends only on its own stream;
-the experiment drivers run them one after another in index order. Every
-replication of the hybrid and fixed-split schemes draws exactly T
-outcomes, so its source can take all T uniforms from the stream as one
-block up front and hand them out in call order (``SimulatedSource`` with
-``draws``); PCG64 returns the same doubles for ``random(a)`` followed by
-``random(b)`` as for ``random(a + b)``, so the outcomes do not change.
+the experiment drivers run them one after another in index order. The
+targets of every scheme (hybrid, fixed-split and balanced) add up to the
+budget, so a replication draws exactly T outcomes, and its source can
+take all T uniforms from the stream as one block up front and hand them
+out in call order (``SimulatedSource`` with ``draws``); PCG64 returns the
+same doubles for ``random(a)`` followed by ``random(b)`` as for
+``random(a + b)``, so the outcomes do not change.
 
 The design's three decisions are cached pure functions of integer counts:
-the block pilot of (budget, pooled draws), the stage-2 targets of
+the stage-1 targets of (budget, pooled draws), the stage-2 targets of
 (budget, pooled draws, pooled successes), and the across-block budgets
 of (total, draws and successes of the whole ledger). Each keeps a bounded
 ``functools.lru_cache``, so a repeated input skips its estimates and
@@ -85,7 +94,8 @@ class BernoulliSource:
 
     def draw_many(self, i: int, j: int, count: int) -> int:
         """Number of successes in ``count`` consecutive draws from slot (i, j);
-        0 for ``count <= 0``."""
+        0 for ``count <= 0``. A slot outside the system raises ``IndexError``
+        before anything is consumed."""
         raise NotImplementedError
 
 
@@ -153,6 +163,9 @@ class SimulatedSource(BernoulliSource):
         return len(self._uniforms) - self._cursor
 
     def draw_many(self, i: int, j: int, count: int) -> int:
+        if i < 0 or j < 0:
+            raise IndexError(f"slot ({i}, {j}) has a negative index")
+        p = self.assignment.values[j][i]
         if count <= 0:
             return 0
         if self._per_call:
@@ -167,7 +180,6 @@ class SimulatedSource(BernoulliSource):
                 f"replication's {len(uniforms)} uniforms left"
             )
         self._cursor = end
-        p = self.assignment.values[j][i]
         if type(uniforms) is list:
             return len([u for u in uniforms[start:end] if u < p])
         if count <= SHORT_REQUEST_MAX:
@@ -213,9 +225,11 @@ class ReplaySource(BernoulliSource):
         return cls(topology, outcomes)
 
     def draw_many(self, i: int, j: int, count: int) -> int:
+        if i < 0 or j < 0:
+            raise IndexError(f"slot ({i}, {j}) has a negative index")
+        queue = self._queues[j][i]
         if count <= 0:
             return 0
-        queue = self._queues[j][i]
         start = self._cursor[j][i]
         end = start + count
         if end > len(queue):
@@ -239,9 +253,6 @@ class SampleLedger:
         self.draws = [[0] * size for size in topology.block_sizes]
         self.successes = [[0] * size for size in topology.block_sizes]
 
-    def to_allocation(self) -> Allocation:
-        return Allocation(self.topology, tuple(tuple(block) for block in self.draws))
-
 
 @dataclass(frozen=True)
 class HybridResult:
@@ -255,7 +266,7 @@ class HybridResult:
     def allocation(self) -> Allocation:
         """The realized per-slot counts, built on first use: the experiment
         drivers read the estimate and the ledger's counts only."""
-        return self.ledger.to_allocation()
+        return Allocation(self.ledger.topology, tuple(map(tuple, self.ledger.draws)))
 
 
 def pilot_size(total: int) -> int:
@@ -294,18 +305,19 @@ DECISION_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=DECISION_CACHE_SIZE)
-def _block_pilot(budget: int, existing: tuple[int, ...]) -> int:
-    """Largest workable pilot: sqrt rule capped by the budget per slot and
-    by what the pooled draws already in the ledger leave room for."""
+def _block_pilot(budget: int, existing: tuple[int, ...]) -> tuple[int, ...]:
+    """Stage-1 slot targets: every slot topped up to the largest workable
+    pilot, the sqrt rule capped by the budget per slot and by what the
+    pooled draws already in the ledger leave room for."""
     pilot = max(1, min(pilot_size(budget), budget // len(existing)))
-    while sum([e if e > pilot else pilot for e in existing]) > budget:
+    while sum(targets := [e if e > pilot else pilot for e in existing]) > budget:
         if pilot == 1:
             raise BudgetError(
                 f"budget {budget} cannot top every slot up to one draw "
                 f"given existing draws {list(existing)}"
             )
         pilot -= 1
-    return pilot
+    return tuple(targets)
 
 
 @lru_cache(maxsize=DECISION_CACHE_SIZE)
@@ -336,6 +348,20 @@ def plan_block_targets(cv_inverses, budget: int, floors) -> tuple[int, ...]:
     return integerize(component_fractions(cv_inverses), budget, floors)
 
 
+def _top_up(source: BernoulliSource, j: int, targets, draws: list, successes: list) -> None:
+    """Draw every slot i of block j up to ``targets[i]``, in slot order,
+    adding to the block's ledger lists ``draws`` and ``successes`` in
+    place. A slot already at or above its target draws nothing."""
+    for i, target in enumerate(targets):
+        need = target - draws[i]
+        if need > 0:
+            got = source.draw_many(i, j, need)
+            if not 0 <= got <= need:
+                raise ValueError(f"source returned {got} successes in {need} draws")
+            draws[i] = target
+            successes[i] += got
+
+
 def two_stage_subsystem(
     source: BernoulliSource, j: int, budget: int, ledger: SampleLedger
 ) -> tuple[int, ...]:
@@ -354,33 +380,19 @@ def two_stage_subsystem(
         raise BudgetError(
             f"subsystem {j + 1} already holds {spent} draws, over its budget {budget}"
         )
-    pilot = _block_pilot(budget, tuple(draws))
 
-    # Stage 1: top every slot up to the pilot size, totalling as it goes.
-    spent = 0
-    for i, have in enumerate(draws):
-        if have < pilot:
-            got = source.draw_many(i, j, pilot - have)
-            if not 0 <= got <= pilot - have:
-                raise ValueError(f"source returned {got} successes in {pilot - have} draws")
-            draws[i] = have = pilot
-            successes[i] += got
-        spent += have
+    # Stage 1: top every slot up to the pilot.
+    pilot = _block_pilot(budget, tuple(draws))
+    _top_up(source, j, pilot, draws, successes)
     # Draws that fill the budget are the only allocation their floors allow.
-    if spent == budget:
-        return tuple(draws)
+    if sum(pilot) == budget:
+        return pilot
 
     # Stage 2: allocate the rest by estimated inverse cv, then top every
     # slot up to its target. The pooled draws are the floors.
-    for i, target in enumerate(_block_targets(budget, tuple(draws), tuple(successes))):
-        need = target - draws[i]
-        if need > 0:
-            got = source.draw_many(i, j, need)
-            if not 0 <= got <= need:
-                raise ValueError(f"source returned {got} successes in {need} draws")
-            draws[i] = target
-            successes[i] += got
-    return tuple(draws)
+    targets = _block_targets(budget, tuple(draws), tuple(successes))
+    _top_up(source, j, targets, draws, successes)
+    return targets
 
 
 def hybrid_two_stage(

@@ -46,6 +46,7 @@ import numpy as np
 from .adaptive_sampling import (
     SampleLedger,
     SimulatedSource,
+    _top_up,
     estimate_reliability,
     hybrid_two_stage,
     pilot_size,
@@ -325,9 +326,7 @@ def simulate_records(
         def design(source):
             ledger = SampleLedger(assignment.topology)
             for j, block in enumerate(counts):
-                for i, m in enumerate(block):
-                    ledger.draws[j][i] = m
-                    ledger.successes[j][i] = source.draw_many(i, j, m)
+                _top_up(source, j, block, ledger.draws[j], ledger.successes[j])
             return estimate_reliability(ledger), counts
 
     elif scheme == "hybrid":
@@ -363,10 +362,10 @@ def summarize_records(records) -> RecordSummary:
     divided once. Every driver and the CLI's ``simulate`` report these
     bits for the same records.
     """
-    r_hats, counts = zip(*records)
+    r_hats = [r_hat for r_hat, _ in records]
+    var, se = empirical_variance(r_hats)  # raises below 2 records
     k = len(r_hats)
-    var, se = empirical_variance(r_hats)
-    slot_sums = [[sum(slot) for slot in zip(*block)] for block in zip(*counts)]
+    slot_sums = [[sum(slot) for slot in zip(*block)] for block in zip(*(c for _, c in records))]
     return RecordSummary(
         mean_r_hat=float(ordered_sum(r_hats) / k),
         var_hat=var,

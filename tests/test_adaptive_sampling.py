@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from relialloc import (
+    BernoulliSource,
     BudgetError,
     ReliabilityAssignment,
     ReplaySource,
@@ -167,6 +168,25 @@ class TestTwoStageSubsystem:
         source = SimulatedSource(a, replication_rng(3, 0, 0), 4)
         assert two_stage_subsystem(source, 0, 4, ledger) == (2, 2)
         assert source.remaining == 0
+
+    @pytest.mark.parametrize("bad", [lambda count: count + 1, lambda count: -1])
+    @pytest.mark.parametrize("stage,pilot_draws", [(1, (0, 0)), (2, (4, 4))])
+    def test_impossible_success_count_is_rejected(self, bad, stage, pilot_draws):
+        # Budget 20 on two slots: stage 1 makes two requests (a pilot of 4
+        # each), stage 2 the rest. The source answers correctly until the
+        # given stage and then returns a count outside 0..count.
+        class Faulty(BernoulliSource):
+            calls = 0
+
+            def draw_many(self, i, j, count):
+                self.calls += 1
+                return count // 2 if self.calls <= 2 * (stage - 1) else bad(count)
+
+        a = ReliabilityAssignment.from_blocks([[0.5, 0.5]])
+        ledger = SampleLedger(a.topology)
+        with pytest.raises(ValueError, match="successes in"):
+            two_stage_subsystem(Faulty(), 0, 20, ledger)
+        assert tuple(ledger.draws[0]) == pilot_draws
 
     def test_small_budget_caps_pilot(self):
         # five slots, budget 10: the sqrt pilot (3) would not fit; 2 does
@@ -522,6 +542,21 @@ class TestSources:
         simulated = SimulatedSource(a, replication_rng(4, 0, 0), 1)
         assert simulated.draw_many(0, 0, 0) == 0
         assert simulated.remaining == 1
+
+    @pytest.mark.parametrize("i,j", [(-1, 0), (0, -1), (5, 0), (0, 2)])
+    def test_a_slot_outside_the_system_consumes_nothing(self, i, j):
+        # Case A has two blocks of two slots. Slot (-1, 0) would read the
+        # last slot of block 0, and (5, 0) used to take its uniforms first.
+        a = load_case("A")
+        block = SimulatedSource(a, replication_rng(4, 0, 0), 7)
+        per_call = SimulatedSource(a, replication_rng(4, 0, 0))
+        replay = ReplaySource(a.topology, [(1, 0, 1), (1, 0, 0)])
+        for src in (block, per_call, replay):
+            with pytest.raises(IndexError):
+                src.draw_many(i, j, 2)
+        assert block.remaining == 7
+        assert per_call.rng.random() == replication_rng(4, 0, 0).random()
+        assert replay.draw_many(1, 0, 2) == 1
 
     def test_replay_rejects_bad_header(self, tmp_path):
         a = ReliabilityAssignment.from_blocks([[0.5]])

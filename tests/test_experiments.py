@@ -72,6 +72,11 @@ class TestEstimateSummary:
         assert summary.mean_r_hat == index_order_mean(xs) == 0.3368999999999998
         assert (summary.var_hat, summary.se) == empirical_variance(xs)
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_too_few_records_is_the_sample_size_error(self, count):
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            summarize_records([(0.5, ((1,),))] * count)
+
     def test_every_driver_reports_the_index_order_mean(self):
         a = load_case("D")
         hybrid = [r for r, _ in simulate_records(a, "hybrid", 20, 40, 6)]
@@ -306,6 +311,11 @@ class TestHybridExpectation:
         res = run_hybrid_expectation(load_case("A"), 20, 2000, 5)
         assert abs(res.rounded_t1 - 16) <= 2
         assert sum(res.mean_block_totals) == pytest.approx(20.0, abs=1e-9)
+
+    @pytest.mark.parametrize("replications", [0, 1])
+    def test_too_few_replications_is_the_sample_size_error(self, replications):
+        with pytest.raises(ValueError, match="need at least 2 samples"):
+            run_hybrid_expectation(load_case("A"), 20, replications, 5)
 
 
 class TestConvergenceSweep:

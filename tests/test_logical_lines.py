@@ -41,3 +41,12 @@ def test_counts_every_module_and_the_total(tmp_path, capsys):
     (tmp_path / "b.py").write_text('"""Doc."""\ny = 2\nz = 3\n')
     assert logical_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.split() == ["1", "a.py", "2", "b.py", "3", "total"]
+
+
+def test_counts_modules_of_subpackages_by_relative_path(tmp_path, capsys):
+    (tmp_path / "a.py").write_text("x = 1\n")
+    (tmp_path / "cases").mkdir()
+    (tmp_path / "cases" / "__init__.py").write_text("import json\n\n\ndef load():\n    pass\n")
+    assert logical_lines.main([str(tmp_path)]) == 0
+    out = capsys.readouterr().out.split()
+    assert out == ["1", "a.py", "3", "cases/__init__.py", "4", "total"]

@@ -1,4 +1,4 @@
-"""Count the lines of code in each module of ``src/relialloc``.
+"""Count the lines of code in each module of ``src/relialloc``, subpackages included.
 
 A line counts when it holds a token of code: blank lines, comment-only
 lines and the lines of docstrings (of modules, classes and functions) do
@@ -54,10 +54,10 @@ def logical_lines(source: str) -> int:
 def main(argv: list[str]) -> int:
     package = Path(argv[0]) if argv else DEFAULT_PACKAGE
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(package.rglob("*.py")):
         count = logical_lines(path.read_text())
         total += count
-        print(f"{count:6d}  {path.name}")
+        print(f"{count:6d}  {path.relative_to(package).as_posix()}")
     print(f"{total:6d}  total")
     return 0
 
